@@ -3,7 +3,7 @@
     "the program is continuously being type-checked, compiled, and
     executed as the programmer edits"
 
-Every keystroke re-runs parse → typecheck → lower → core re-check, so the
+Every keystroke re-runs parse → typecheck → lower → core check, so the
 whole pipeline must fit in an interactive budget.  We measure it on the
 real example apps and on synthetically grown programs.
 

@@ -105,7 +105,10 @@ class Code:
     ``global g : τ = v ∈ C`` becomes :meth:`global_`.
     """
 
-    __slots__ = ("_defs",)
+    #: ``_verdict`` caches the outcome of ``C ⊢ C`` for this value (see
+    #: :func:`repro.typing.program.known_problems`); it is not part of
+    #: the program and never affects equality.
+    __slots__ = ("_defs", "_verdict")
 
     def __init__(self, defs=()):
         table = {}
@@ -120,6 +123,7 @@ class Code:
                 )
             table[definition.name] = definition
         self._defs = table
+        self._verdict = None
 
     # -- collection protocol ------------------------------------------------
 

@@ -15,6 +15,28 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
+def drop_traceback(error):
+    """Return ``error`` with its traceback, and its chained ones, cleared.
+
+    Diagnostics and faults are kept long after they are raised (an
+    edit's ``problems``, a runtime's fault log, a rollback record).  A
+    traceback would pin every frame it passed through — the parser's
+    token list, the compiler's locals — and nothing reads a kept error's
+    traceback, so the keepers drop it.
+    """
+    pending = [error]
+    seen = set()
+    while pending:
+        current = pending.pop()
+        if current is None or id(current) in seen:
+            continue
+        seen.add(id(current))
+        current.__traceback__ = None
+        pending.append(current.__cause__)
+        pending.append(current.__context__)
+    return error
+
+
 class SpannedError(ReproError):
     """An error that can carry a source span (``repro.surface.span.Span``).
 

@@ -48,6 +48,7 @@ from ..core import ast
 from ..core.defs import Code
 from ..core.effects import RENDER
 from ..core.errors import ReproError
+from ..core.prims import PRIM_SIGS
 from ..incremental.digest import code_digests
 from ..incremental.store import MemoEntry, MemoStore
 from ..obs.trace import NULL_TRACER
@@ -55,7 +56,7 @@ from ..obs.trace import NULL_TRACER
 
 def global_read_sets(code):
     """name → frozenset of globals each function may read (transitive)."""
-    return _transitive_sets(code, _direct_global_reads)
+    return _transitive(_function_facts(code), _READS)
 
 
 def native_call_sets(code):
@@ -68,48 +69,48 @@ def native_call_sets(code):
     functions that can reach ``n`` are suspect (see
     :meth:`~repro.incremental.store.MemoStore.invalidate_natives`).
     """
-    from ..core.prims import PRIM_SIGS
-
-    def direct(body):
-        return {
-            node.op
-            for node in ast.walk(body)
-            if isinstance(node, ast.Prim) and node.op not in PRIM_SIGS
-        }
-
-    return _transitive_sets(code, direct)
+    return _transitive(_function_facts(code), _NATIVES)
 
 
-def _direct_global_reads(body):
-    return {
-        node.name
-        for node in ast.walk(body)
-        if isinstance(node, ast.GlobalRead)
-    }
+#: Positions in a :func:`_function_facts` triple.
+_READS, _NATIVES, _CALLEES = 0, 1, 2
 
 
-def _transitive_sets(code, direct_of):
-    """Per-function facts closed over the transitive ``FunRef`` graph."""
-    direct = {}
-    references = {}
+def _function_facts(code):
+    """name → ``(global reads, native calls, FunRef callees)`` of each
+    function's own body, not yet closed over calls.
+
+    One walk per body collects all three; :func:`_transitive` closes a
+    fact over the callee graph.
+    """
+    facts = {}
     for definition in code.functions():
-        refs = set()
+        reads, natives, callees = set(), set(), set()
         for node in ast.walk(definition.body):
-            if isinstance(node, ast.FunRef):
-                refs.add(node.name)
-        direct[definition.name] = set(direct_of(definition.body))
-        references[definition.name] = refs
+            if isinstance(node, ast.GlobalRead):
+                reads.add(node.name)
+            elif isinstance(node, ast.FunRef):
+                callees.add(node.name)
+            elif isinstance(node, ast.Prim) and node.op not in PRIM_SIGS:
+                natives.add(node.op)
+        facts[definition.name] = (reads, natives, callees)
+    return facts
+
+
+def _transitive(facts, which):
+    """One per-function fact closed over the transitive ``FunRef`` graph."""
+    closed = {name: set(fact[which]) for name, fact in facts.items()}
     # Transitive closure (the call graph is small; iterate to fixpoint).
     changed = True
     while changed:
         changed = False
-        for name, refs in references.items():
-            for callee in refs:
-                callee_facts = direct.get(callee, frozenset())
-                if not callee_facts <= direct[name]:
-                    direct[name] |= callee_facts
+        for name, fact in facts.items():
+            for callee in fact[_CALLEES]:
+                callee_facts = closed.get(callee, frozenset())
+                if not callee_facts <= closed[name]:
+                    closed[name] |= callee_facts
                     changed = True
-    return {name: frozenset(facts) for name, facts in direct.items()}
+    return {name: frozenset(values) for name, values in closed.items()}
 
 
 def replay_items(items, counters):
@@ -168,9 +169,13 @@ class RenderMemo:
         if not isinstance(code, Code):
             raise ReproError("RenderMemo expects Code")
         self.code = code
-        self._read_sets = global_read_sets(code)
-        self._native_sets = native_call_sets(code)
-        self._digests = code_digests(code)
+        facts = _function_facts(code)
+        self._read_sets = _transitive(facts, _READS)
+        self._native_sets = _transitive(facts, _NATIVES)
+        self._digests = code_digests(
+            code,
+            callees={name: fact[_CALLEES] for name, fact in facts.items()},
+        )
         self._eligible = {
             d.name
             for d in code.functions()

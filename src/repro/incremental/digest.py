@@ -168,7 +168,19 @@ def function_canon(name, code):
     return "".join(out)
 
 
-def _reachable_user_functions(name, code):
+def _callee_graph(code):
+    """name → the ``FunRef`` names in each function's body."""
+    return {
+        definition.name: {
+            node.name
+            for node in ast.walk(definition.body)
+            if isinstance(node, ast.FunRef)
+        }
+        for definition in code.functions()
+    }
+
+
+def _reachable_user_functions(name, callees):
     """User-function names transitively reachable from ``name``'s body,
     looking *through* generated functions (whose bodies are inlined into
     the canon and therefore contribute their own user calls)."""
@@ -177,13 +189,7 @@ def _reachable_user_functions(name, code):
     frontier = [name]
     while frontier:
         current = frontier.pop()
-        definition = code.function(current)
-        if definition is None:
-            continue
-        for node in ast.walk(definition.body):
-            if not isinstance(node, ast.FunRef):
-                continue
-            callee = node.name
+        for callee in callees.get(current, ()):
             if callee.startswith(GENERATED_PREFIX):
                 if callee not in visited_generated:
                     visited_generated.add(callee)
@@ -194,14 +200,19 @@ def _reachable_user_functions(name, code):
     return reached
 
 
-def code_digests(code):
+def code_digests(code, callees=None):
     """``name → hex digest`` for every user-written function in ``code``.
 
     ``digest(f) = sha256(canon(f) · sorted (g, canon(g)) for g reachable
     from f)`` — so editing any function a call could execute changes the
     caller's digest, while edits elsewhere in the file (including ones
     that shift the compiler's fresh-name counters) leave it fixed.
+
+    ``callees`` (name → ``FunRef`` names in that function's body) saves
+    the walk over every body when the caller already collected it.
     """
+    if callees is None:
+        callees = _callee_graph(code)
     canons = {}
 
     def canon_of(fname):
@@ -217,7 +228,7 @@ def code_digests(code):
             continue
         hasher = hashlib.sha256()
         hasher.update(canon_of(name).encode("utf-8"))
-        for callee in sorted(_reachable_user_functions(name, code)):
+        for callee in sorted(_reachable_user_functions(name, callees)):
             hasher.update(
                 "|{}={}".format(callee, canon_of(callee)).encode("utf-8")
             )

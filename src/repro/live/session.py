@@ -27,6 +27,7 @@ from ..core.errors import (
     SyntaxProblem,
     TypeProblem,
     UpdateRejected,
+    drop_traceback,
 )
 from ..obs.trace import NULL_TRACER, Stopwatch
 from ..surface.compile import compile_source
@@ -170,71 +171,83 @@ class LiveSession:
                     new_source, self.host_impls, tracer=self.tracer
                 )
             except (SyntaxProblem, TypeProblem) as problem:
-                self.problems = (problem,)
-                result = EditResult(
-                    status="rejected",
-                    problems=self.problems,
-                    elapsed=watch.elapsed(),
-                    phases=self._cycle_phases(cycle),
+                return self._finish_edit(
+                    "rejected", watch, cycle, problems=(problem,)
                 )
-                self.edit_log.append(result)
-                return result
-            try:
-                if self.supervisor is not None:
-                    outcome = self.supervisor.apply_update(
-                        compiled.code, natives=compiled.natives
-                    )
-                    if outcome.rolled_back:
-                        # The new code typed but could not draw a frame;
-                        # the last-good program is running again.  The
-                        # buffer keeps the programmer's text.
-                        self.problems = (outcome.fault,)
-                        result = EditResult(
-                            status="rolled_back",
-                            problems=self.problems,
-                            elapsed=watch.elapsed(),
-                            phases=self._cycle_phases(cycle),
-                        )
-                        self.edit_log.append(result)
-                        return result
-                    report = outcome.report
-                else:
-                    report = self.runtime.update_code(
-                        compiled.code, natives=compiled.natives
-                    )
-            except UpdateRejected as rejected:
-                # The surface checker should have caught everything; if
-                # the core checker disagrees, surface it rather than
-                # crash.
-                self.problems = tuple(rejected.problems)
-                result = EditResult(
-                    status="rejected",
-                    problems=self.problems,
-                    elapsed=watch.elapsed(),
-                    phases=self._cycle_phases(cycle),
+            return self._apply(compiled, watch, cycle)
+
+    def apply_compiled(self, compiled):
+        """Live-apply a program compiled from source elsewhere.
+
+        ``compiled`` must come from :func:`~repro.surface.compile.
+        compile_source` with this session's host implementations; the
+        result is what :meth:`edit_source` of ``compiled.source`` would
+        return, without compiling the source a second time.
+        """
+        self.buffer.set_source(compiled.source)
+        watch = Stopwatch()
+        with self.tracer.span("edit_cycle") as cycle:
+            return self._apply(compiled, watch, cycle)
+
+    def _apply(self, compiled, watch, cycle):
+        """The UPDATE half of an edit cycle, for a compiled program."""
+        try:
+            if self.supervisor is not None:
+                outcome = self.supervisor.apply_update(
+                    compiled.code, natives=compiled.natives
                 )
-                self.edit_log.append(result)
-                return result
-            self.compiled = compiled
-            self.problems = ()
-            if new_source != self._undo_stack[-1]:
-                self._undo_stack.append(new_source)
-                self._redo_stack.clear()
-            # The re-render that applied this edit has already run
-            # (update_code settles the system), so the incremental
-            # engine's reuse numbers for it are final.
-            reuse = self.runtime.system.last_update_render_stats
-            result = EditResult(
-                status="applied",
-                report=report,
-                elapsed=watch.elapsed(),
-                phases=self._cycle_phases(cycle),
-                memo_hits=reuse.get("hits", 0),
-                memo_misses=reuse.get("misses", 0),
-                replayed_boxes=reuse.get("replayed_boxes", 0),
+                if outcome.rolled_back:
+                    # The new code typed but could not draw a frame; the
+                    # last-good program is running again.  The buffer
+                    # keeps the programmer's text.
+                    return self._finish_edit(
+                        "rolled_back", watch, cycle,
+                        problems=(outcome.fault,),
+                    )
+                report = outcome.report
+            else:
+                report = self.runtime.update_code(
+                    compiled.code, natives=compiled.natives
+                )
+        except UpdateRejected as rejected:
+            # The surface checker should have caught everything; if the
+            # core checker disagrees, surface it rather than crash.
+            return self._finish_edit(
+                "rejected", watch, cycle, problems=rejected.problems
             )
-            self.edit_log.append(result)
-            return result
+        self.compiled = compiled
+        new_source = compiled.source
+        if new_source != self._undo_stack[-1]:
+            self._undo_stack.append(new_source)
+            self._redo_stack.clear()
+        # The re-render that applied this edit has already run
+        # (update_code settles the system), so the incremental engine's
+        # reuse numbers for it are final.
+        reuse = self.runtime.system.last_update_render_stats
+        return self._finish_edit(
+            "applied", watch, cycle,
+            report=report,
+            memo_hits=reuse.get("hits", 0),
+            memo_misses=reuse.get("misses", 0),
+            replayed_boxes=reuse.get("replayed_boxes", 0),
+        )
+
+    def _finish_edit(self, status, watch, cycle, problems=(), **fields):
+        """Record the edit's diagnostics and :class:`EditResult`.
+
+        The diagnostics outlive the edit, so their tracebacks (which
+        would pin the compiler's frames) are dropped here.
+        """
+        self.problems = tuple(drop_traceback(problem) for problem in problems)
+        result = EditResult(
+            status=status,
+            problems=self.problems,
+            elapsed=watch.elapsed(),
+            phases=self._cycle_phases(cycle),
+            **fields
+        )
+        self.edit_log.append(result)
+        return result
 
     def _cycle_phases(self, cycle):
         """Per-phase durations: the finished children of the cycle span."""

@@ -26,7 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.errors import ReproError, SyntaxProblem, TypeProblem
+from ..core.errors import (
+    ReproError,
+    SyntaxProblem,
+    TypeProblem,
+    drop_traceback,
+)
 from ..obs.trace import NULL_TRACER
 from ..render.html_backend import display_fingerprint, render_html_fragment
 from .replayer import replay_to, resolve_token
@@ -175,7 +180,8 @@ def divergence_report(
     except (SyntaxProblem, TypeProblem) as problem:
         tracer.add("replay.divergences")
         return DivergenceReport(
-            status="rejected", token=token, problems=(problem,)
+            status="rejected", token=token,
+            problems=(drop_traceback(problem),),
         )
     baseline, _ = _capture_generations(journal, token, None, seq, options)
     if len(baseline) != len(edited):

@@ -270,19 +270,19 @@ def search_repairs(
     kwargs["budget"] = budget.transition_budget()
     window = _window_events(journal, token, budget.window)
 
-    def make_session():
+    def make_session(host_impls):
         """A fresh isolated system at the recorded session's state."""
         if journal is not None:
             return replay_to(
                 journal, token,
-                make_host_impls=make_host_impls,
+                make_host_impls=lambda: host_impls,
                 make_services=make_services,
                 session_kwargs=kwargs,
             ).session
         return LiveSession(
             last_good_source
             if last_good_source is not None else faulting_source,
-            host_impls=make_host_impls(),
+            host_impls=host_impls,
             services=make_services() if make_services else None,
             **kwargs
         )
@@ -292,15 +292,21 @@ def search_repairs(
         try:
             from ..surface.compile import compile_source
 
+            # The session is built with the implementations the
+            # candidate was compiled against, so it applies this very
+            # compile instead of compiling the candidate again.
+            host_impls = make_host_impls()
             try:
-                compile_source(verdict.candidate.source, make_host_impls())
+                compiled = compile_source(
+                    verdict.candidate.source, host_impls
+                )
             except (SyntaxProblem, TypeProblem, ReproError):
                 return
             verdict.compile_ok = True
-            session = make_session()
+            session = make_session(host_impls)
             faults_before = len(session.runtime.faults)
             try:
-                result = session.edit_source(verdict.candidate.source)
+                result = session.apply_compiled(compiled)
             except EvalError:
                 return  # "raise"-policy session kwargs: the edit faulted
             clean = len(session.runtime.faults) == faults_before

@@ -31,6 +31,7 @@ from ..core.errors import (
     FuelExhausted,
     ReproError,
     UpdateRejected,
+    drop_traceback,
 )
 from ..eval.machine import DEFAULT_FUEL
 from ..obs.trace import NULL_TRACER
@@ -152,6 +153,7 @@ class Supervisor:
             raise  # never committed; nothing to roll back
         except EvalError as fault:
             # "raise" policy: the post-update settle faulted.
+            drop_traceback(fault)
             self._roll_back(old_code, old_natives, fault)
             return UpdateOutcome(status="rolled_back", fault=fault)
         render_faults = [

@@ -83,15 +83,21 @@ def wire_encode(value):
     ``FixupReport``, ``BatchReport``, error payloads — goes through this
     single recursion instead of a hand-rolled per-endpoint encoding, so
     a field added to a result dataclass (``memo_hits``, say) reaches the
-    wire without touching any op handler.  Dataclasses become dicts,
-    tuples become lists, JSON scalars pass through, and anything else
-    (diagnostics, exceptions) falls back to ``str`` — the wire never
-    carries a Python repr by accident, and never raises while encoding.
+    wire without touching any op handler.  Dataclasses and named tuples
+    (source spans) become dicts, other tuples become lists, JSON scalars
+    pass through, and anything else (diagnostics, exceptions) falls back
+    to ``str`` — the wire never carries a Python repr by accident, and
+    never raises while encoding.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: wire_encode(getattr(value, field.name))
             for field in dataclasses.fields(value)
+        }
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {
+            name: wire_encode(item)
+            for name, item in zip(value._fields, value)
         }
     if isinstance(value, dict):
         return {str(key): wire_encode(item) for key, item in value.items()}

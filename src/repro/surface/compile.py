@@ -3,17 +3,21 @@
     parse → resolve+typecheck (annotates the AST, infers effects)
           → lower (core calculus + extern signatures)
           → bind extern implementations (FFI)
-          → re-check the core program against Fig. 10/11
+          → check the core program against Fig. 10/11
 
-The final core re-check is deliberate redundancy: the surface checker and
-the lowering are substantial, and the core checker is tiny and rule-exact
-— if they ever disagree, compilation fails loudly instead of producing a
-program whose UPDATE transition would later be rejected.
+Every code version is checked against the core rules exactly once, here.
+The surface checker and the lowering are substantial, and the core
+checker is tiny and rule-exact — if they ever disagree, compilation fails
+loudly instead of producing a program whose UPDATE transition would later
+be rejected.  The verdict stays with the lowered ``Code`` and the native
+signatures it was reached under (:func:`repro.typing.program.
+known_problems`), so the system that runs the program — constructed with
+it, or switching to it by UPDATE — reuses it rather than checking again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.errors import ReproError, TypeProblem
 from ..eval.natives import NativeTable
@@ -38,8 +42,7 @@ class CompiledProgram:
     generated_functions: tuple
 
 
-def compile_source(source, host_impls=None, check_core=True,
-                   tracer=NULL_TRACER):
+def compile_source(source, host_impls=None, tracer=NULL_TRACER):
     """Compile surface ``source`` to a :class:`CompiledProgram`.
 
     ``host_impls`` maps each declared ``extern fun`` name to its Python
@@ -60,13 +63,12 @@ def compile_source(source, host_impls=None, check_core=True,
     with tracer.span("lower"):
         lowered = lower_program(program, env)
         natives = _bind_externs(lowered.extern_sigs, host_impls or {})
-        if check_core:
-            core_issues = code_problems(lowered.code, natives)
-            if core_issues:
-                raise ReproError(
-                    "internal lowering error — the lowered program fails "
-                    "the core checker: {}".format(core_issues[0])
-                )
+        core_issues = code_problems(lowered.code, natives)
+        if core_issues:
+            raise ReproError(
+                "internal lowering error — the lowered program fails "
+                "the core checker: {}".format(core_issues[0])
+            )
     return CompiledProgram(
         source=source,
         program=program,

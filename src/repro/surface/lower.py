@@ -21,7 +21,7 @@ and thunks."  Concretely:
   unary functions; "we use tuples to simplify the passing of multiple
   values").
 
-The output is re-checked by the core Fig. 10 checker, so any lowering bug
+The output is checked by the core Fig. 10 checker, so any lowering bug
 surfaces as a core type error rather than silent misbehaviour.
 """
 

@@ -45,6 +45,21 @@ from .tokens import (
 #: Surface attribute identifiers (underscored) → registry names (spaced).
 ATTR_NAME_MAP = {"font_size": "font size"}
 
+#: The expression precedence ladder, loosest first; ``not`` is prefix.
+_OR, _AND, _NOT, _COMPARE, _CONCAT, _ADDITIVE, _MULTIPLICATIVE, _ATOM = (
+    range(1, 9)
+)
+#: Binary operator (an OP token, or the keywords and/or) → its level.
+_BINARY = {
+    "or": _OR,
+    "and": _AND,
+    "==": _COMPARE, "!=": _COMPARE, "<": _COMPARE, "<=": _COMPARE,
+    ">": _COMPARE, ">=": _COMPARE,
+    "||": _CONCAT,
+    "+": _ADDITIVE, "-": _ADDITIVE,
+    "*": _MULTIPLICATIVE, "/": _MULTIPLICATIVE, "%": _MULTIPLICATIVE,
+}
+
 
 def parse(source):
     """Parse ``source`` into a :class:`repro.surface.surface_ast.Program`."""
@@ -53,15 +68,16 @@ def parse(source):
 
 class _Parser:
     def __init__(self, tokens):
-        self.tokens = tokens
+        # A second EOF past the lexer's own keeps ``_peek(1)`` in range:
+        # the cursor never moves past the first one.
+        self.tokens = tokens + [tokens[-1]]
         self.index = 0
         self.box_counter = 0
 
     # -- cursor helpers ----------------------------------------------------
 
     def _peek(self, ahead=0):
-        index = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.index + ahead]
 
     def _advance(self):
         token = self.tokens[self.index]
@@ -100,7 +116,7 @@ class _Parser:
             pass
 
     def _span_from(self, start_token):
-        return Span(start_token.span.start, self._peek(-0).span.start)
+        return Span(start_token.span.start, self._peek().span.start)
 
     # -- program & declarations ------------------------------------------------
 
@@ -291,40 +307,26 @@ class _Parser:
 
     def _parse_stmt(self):
         token = self._peek()
-        if token.is_keyword("var"):
-            return self._parse_var_decl()
-        if token.is_keyword("if"):
-            return self._parse_if()
-        if token.is_keyword("for"):
-            return self._parse_for()
-        if token.is_keyword("while"):
-            return self._parse_while()
-        if token.is_keyword("boxed"):
-            return self._parse_boxed()
-        if token.is_keyword("post"):
-            return self._parse_post()
-        if token.is_keyword("box"):
-            return self._parse_set_attr()
-        if token.is_keyword("on"):
-            return self._parse_handler()
-        if token.is_keyword("editable"):
-            start = self._advance()
-            name = self._expect(IDENT, what="global name").text
-            self._expect_newline()
-            stmt = S.SEditable(self._span_from(start))
-            stmt.name = name
-            return stmt
-        if token.is_keyword("push"):
-            return self._parse_push()
-        if token.is_keyword("pop"):
-            self._advance()
-            self._expect_newline()
-            return S.SPop(token.span)
-        if token.is_keyword("return"):
-            return self._parse_return()
-        if token.kind == IDENT and self._peek(1).is_op(":="):
+        if token.kind == KEYWORD:
+            parse_keyword_stmt = _KEYWORD_STMTS.get(token.text)
+            if parse_keyword_stmt is not None:
+                return parse_keyword_stmt(self)
+        elif token.kind == IDENT and self._peek(1).is_op(":="):
             return self._parse_assign()
         return self._parse_expr_stmt()
+
+    def _parse_editable(self):
+        start = self._advance()  # 'editable'
+        name = self._expect(IDENT, what="global name").text
+        self._expect_newline()
+        stmt = S.SEditable(self._span_from(start))
+        stmt.name = name
+        return stmt
+
+    def _parse_pop(self):
+        token = self._advance()  # 'pop'
+        self._expect_newline()
+        return S.SPop(token.span)
 
     def _parse_var_decl(self):
         start = self._advance()  # 'var'
@@ -496,67 +498,50 @@ class _Parser:
     # -- expressions -----------------------------------------------------------------
 
     def _parse_expr(self):
-        return self._parse_or()
+        return self._parse_binary(_OR)
 
-    def _binop(self, parse_operand, ops, keywords=()):
-        left = parse_operand()
+    def _parse_binary(self, min_level):
+        """Precedence climbing over the binary operators of :data:`_BINARY`.
+
+        Parses what the rule at ``min_level`` of the precedence ladder
+        (``or`` < ``and`` < ``not`` < comparison < ``||`` < ``+ -`` <
+        ``* / %``) accepts.  ``level`` is the loosest rule the left
+        operand has been built with so far: an operator may extend it
+        only from a tighter-or-equal level (comparisons: strictly
+        tighter — they do not chain), and the right operand is parsed
+        one level tighter, so every operator is left-associative.
+        """
+        token = self.tokens[self.index]
+        if (min_level <= _NOT and token.kind == KEYWORD
+                and token.text == "not"):
+            self.index += 1
+            operand = self._parse_binary(_NOT)
+            left = S.EUnOp(token.span.merge(operand.span))
+            left.op, left.operand = "not", operand
+            level = _NOT
+        else:
+            left = self._parse_unary()
+            level = _ATOM
         while True:
-            token = self._peek()
-            matched = None
-            if token.kind == OP and token.text in ops:
-                matched = token.text
-            elif token.kind == KEYWORD and token.text in keywords:
-                matched = token.text
-            if matched is None:
+            token = self.tokens[self.index]
+            if token.kind != OP and token.kind != KEYWORD:
                 return left
-            self._advance()
-            right = parse_operand()
-            node = S.EBinOp(left.span.merge(right.span))
-            node.op, node.left, node.right = matched, left, right
-            left = node
-
-    def _parse_or(self):
-        return self._binop(self._parse_and, (), keywords=("or",))
-
-    def _parse_and(self):
-        return self._binop(self._parse_not, (), keywords=("and",))
-
-    def _parse_not(self):
-        token = self._peek()
-        if token.is_keyword("not"):
-            self._advance()
-            operand = self._parse_not()
-            node = S.EUnOp(token.span.merge(operand.span))
-            node.op, node.operand = "not", operand
-            return node
-        return self._parse_comparison()
-
-    def _parse_comparison(self):
-        left = self._parse_concat()
-        token = self._peek()
-        if token.kind == OP and token.text in (
-            "==", "!=", "<", "<=", ">", ">=",
-        ):
-            self._advance()
-            right = self._parse_concat()
+            op_level = _BINARY.get(token.text)
+            if (op_level is None or op_level < min_level
+                    or op_level > level
+                    or (op_level == _COMPARE and level == _COMPARE)):
+                return left
+            self.index += 1
+            right = self._parse_binary(op_level + 1)
             node = S.EBinOp(left.span.merge(right.span))
             node.op, node.left, node.right = token.text, left, right
-            return node
-        return left
-
-    def _parse_concat(self):
-        return self._binop(self._parse_additive, ("||",))
-
-    def _parse_additive(self):
-        return self._binop(self._parse_multiplicative, ("+", "-"))
-
-    def _parse_multiplicative(self):
-        return self._binop(self._parse_unary, ("*", "/", "%"))
+            left = node
+            level = op_level
 
     def _parse_unary(self):
-        token = self._peek()
-        if token.is_op("-"):
-            self._advance()
+        token = self.tokens[self.index]
+        if token.kind == OP and token.text == "-":
+            self.index += 1
             operand = self._parse_unary()
             node = S.EUnOp(token.span.merge(operand.span))
             node.op, node.operand = "-", operand
@@ -635,3 +620,20 @@ class _Parser:
         raise SyntaxProblem(
             "expected an expression, found {}".format(token), span=token.span
         )
+
+
+#: Statement keyword → the method parsing the statement it starts.
+_KEYWORD_STMTS = {
+    "var": _Parser._parse_var_decl,
+    "if": _Parser._parse_if,
+    "for": _Parser._parse_for,
+    "while": _Parser._parse_while,
+    "boxed": _Parser._parse_boxed,
+    "post": _Parser._parse_post,
+    "box": _Parser._parse_set_attr,
+    "on": _Parser._parse_handler,
+    "editable": _Parser._parse_editable,
+    "push": _Parser._parse_push,
+    "pop": _Parser._parse_pop,
+    "return": _Parser._parse_return,
+}

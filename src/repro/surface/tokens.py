@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .span import Span
 
@@ -89,9 +89,9 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source span."""
+class Token(NamedTuple):
+    """One lexical token with its source span (a named tuple, like
+    :class:`~repro.surface.span.Span`, so the lexer builds it cheaply)."""
 
     kind: str
     text: str

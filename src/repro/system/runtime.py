@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..boxes.tree import Box
 from ..core import ast
-from ..core.errors import EvalError, ReproError
+from ..core.errors import EvalError, ReproError, drop_traceback
 from ..eval.natives import EMPTY_NATIVES
 from ..eval.values import format_for_post
 from ..obs.trace import NULL_TRACER
@@ -140,7 +140,7 @@ class Runtime:
 
     def _record_fault(self, error, attempting):
         self.faults.append(Fault(
-            error,
+            drop_traceback(error),
             attempting,
             timestamp=time.time(),
             span_id=self.tracer.last_span_id,

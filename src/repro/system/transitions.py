@@ -40,7 +40,7 @@ from ..core.names import ATTR_EDITABLE, ATTR_ONEDIT, ATTR_ONTAP, START_PAGE
 from ..eval.machine import BigStep, SmallStep
 from ..eval.natives import EMPTY_NATIVES
 from ..obs.trace import NULL_TRACER, clock
-from ..typing.program import code_problems
+from ..typing.program import code_problems, known_problems
 from .events import EventQueue, ExecEvent, PopEvent, PushEvent, edit_thunk
 from .fixup import fixup
 from .services import Services
@@ -66,6 +66,15 @@ class Transition:
         if self.detail:
             return "{}({})".format(self.rule, self.detail)
         return self.rule
+
+
+def _core_problems(code, natives):
+    """``C ⊢ C``: the verdict already reached for this code version under
+    these native signatures, else a fresh check."""
+    problems = known_problems(code, natives)
+    if problems is None:
+        problems = code_problems(code, natives)
+    return problems
 
 
 class System:
@@ -165,9 +174,11 @@ class System:
         self._render_after_update = False
         #: When True (default), UPDATE enforces its ``C' ⊢ C'`` premise —
         #: and so does construction, since rule T-SYS types every state.
+        #: A code version the compile pipeline already checked under the
+        #: same native signatures is not checked again.
         self.check_updates = check_updates
         if check_updates:
-            problems = code_problems(code, natives)
+            problems = _core_problems(code, natives)
             if problems:
                 raise UpdateRejected(
                     "the initial program is not well-typed "
@@ -537,7 +548,7 @@ class System:
         with self.tracer.span("update") as span:
             if self.check_updates:
                 with self.tracer.span("typecheck_update"):
-                    problems = code_problems(new_code, self.natives)
+                    problems = _core_problems(new_code, self.natives)
                 if problems:
                     raise UpdateRejected(
                         "the new program is not well-typed "

@@ -16,6 +16,15 @@ A program is well-typed when
 full list to display, not just the first), while :func:`check_code` raises
 on the first.  ``C' ⊢ C'`` holding is exactly the first premise of the
 UPDATE transition — see :mod:`repro.system.transitions`.
+
+Each code version is checked once.  :func:`code_problems` remembers its
+verdict on the :class:`~repro.core.defs.Code` value together with the
+native signatures it was reached under, and :func:`known_problems` hands
+that verdict back while the signatures are unchanged: the compile
+pipeline checks the program it lowered, and the system built from it
+(construction, UPDATE) reuses the result instead of checking again.
+Code that never went through a check (hand-built, or checked under other
+native signatures) has no known verdict and is checked as before.
 """
 
 from __future__ import annotations
@@ -59,7 +68,31 @@ def code_problems(code, natives=None):
                 rule="T-SYS",
             )
         )
+    code._verdict = (_signature_key(natives), tuple(problems))
     return problems
+
+
+def known_problems(code, natives=None):
+    """The problems :func:`code_problems` found for ``code`` under the
+    same native signatures, or ``None`` if it was not checked under them.
+
+    The checker reads nothing but the code and the natives' signatures
+    (implementations are invisible to it), so a remembered verdict is
+    exactly what checking again would return.
+    """
+    verdict = getattr(code, "_verdict", None)
+    if verdict is None or verdict[0] != _signature_key(natives):
+        return None
+    return list(verdict[1])
+
+
+def _signature_key(natives):
+    """Every native signature the checker may read, in a comparable form."""
+    if natives is None:
+        return ()
+    return tuple(
+        (name, natives.signature(name)) for name in sorted(natives.names())
+    )
 
 
 def _check_def(checker, definition, natives):

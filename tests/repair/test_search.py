@@ -134,6 +134,31 @@ def test_search_counts_and_observes_through_the_hooks(journal_dir):
         assert name in seen
 
 
+def test_each_candidate_is_compiled_once(journal_dir, monkeypatch):
+    import repro.live.session as live_session
+    import repro.surface.compile as surface_compile
+
+    compiled_sources = []
+    for module in (surface_compile, live_session):
+        def counting(source, *args, _compile=module.compile_source,
+                     **kwargs):
+            compiled_sources.append(source)
+            return _compile(source, *args, **kwargs)
+
+        monkeypatch.setattr(module, "compile_source", counting)
+    host, token = faulting_host(journal_dir)
+    del compiled_sources[:]
+    report = search_repairs(
+        host.journal, token,
+        faulting_source=RENDER_BROKEN,
+        suspects=("start",),
+        budget=RepairBudget(max_candidates=8, window=10, parallelism=2),
+    )
+    assert report.found and report.searched > 1
+    for candidate in report.candidates:
+        assert compiled_sources.count(candidate.source) == 1
+
+
 def test_report_candidate_rejects_unknown_ranks():
     report = RepairReport(token="t", trigger="manual")
     with pytest.raises(ReproError):

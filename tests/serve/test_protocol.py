@@ -293,6 +293,8 @@ class TestObservabilityOps:
         assert response["ok"]
         report = response["why"]
         assert report["owner"] == "page start (render)"
+        assert set(report["span"]) == {"start", "end"}
+        assert set(report["span"]["start"]) == {"line", "column", "offset"}
         assert report["reads"] == ["count"]
         assert len(report["events"]) == 2
         assert all(e["wrote"] == ["count"] for e in report["events"])
