@@ -15,10 +15,9 @@ One front door for the five classes an embedding application needs:
 
 The cluster layer (:mod:`repro.cluster`) is re-exported by name:
 :class:`ClusterSupervisor` / :class:`ClusterRouter` shard a host across
-worker processes behind one HTTP front, and :class:`MemoStore` /
-:class:`TieredMemoStore` are the shared render-memo caches sessions can
-be pointed at via the ``memo_store`` keyword (per-process and
-cross-process respectively).
+worker processes behind one HTTP front, and :class:`MemoStore` is the
+shared render-memo cache sessions can be pointed at via the
+``memo_store`` keyword.
 
 The journal's observability layer (:mod:`repro.provenance`) is
 re-exported by name: :class:`TimeMachine` plus the three query
@@ -31,17 +30,16 @@ genuinely positional arguments — the source text, the code, the journal
 directory — stay positional), so call sites read as configuration and
 adding a parameter can never silently reinterpret an existing call.
 
-The deep paths (``repro.live.LiveSession``, ``repro.system.Runtime``,
-``repro.serve.SessionHost``, ``repro.resilience.Journal``,
-``repro.obs.Tracer``) still work but raise :class:`DeprecationWarning`
-via package ``__getattr__`` shims; the defining modules
-(``repro.live.session`` etc.) remain the implementation and are not
-deprecated — this module is the *name* consolidation, not a rewrite.
+The sub-packages (``repro.live``, ``repro.system``, ``repro.serve``,
+``repro.resilience``, ``repro.obs``) do not re-export these five
+classes; the defining modules (``repro.live.session`` etc.) remain the
+implementation — this module is the *name* consolidation, not a
+rewrite.
 """
 
 from __future__ import annotations
 
-from .cluster import ClusterRouter, ClusterSupervisor, TieredMemoStore
+from .cluster import ClusterRouter, ClusterSupervisor
 from .eval.natives import EMPTY_NATIVES
 from .incremental.store import MemoStore
 from .live.session import EditResult
@@ -82,7 +80,6 @@ __all__ = [
     "ReplayResult",
     "Runtime",
     "SessionHost",
-    "TieredMemoStore",
     "TimeMachine",
     "Tracer",
     "WhyReport",

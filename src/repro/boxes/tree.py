@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.errors import ReproError
-from ..core.pickling import SlotStatePickle
 
 
-class BoxItem(SlotStatePickle):
+class BoxItem:
     """Base class of the three content item kinds."""
 
     __slots__ = ()

@@ -16,7 +16,7 @@ Commands:
   table (see ``docs/OBSERVABILITY.md``);
 * ``top``     — live ANSI dashboard polling a running server's
   ``/metrics``: req/s, per-op p50/p95, worker liveness and respawns,
-  shared-cache hit rate, breaker states;
+  memo hit rate, breaker states;
 * ``serve``   — run the multi-session JSON API server with an LRU
   session pool (see ``docs/SERVER.md``);
 * ``replay``  — deterministically replay a recorded journal: time-travel
@@ -564,7 +564,6 @@ def _serve_cluster(args, out, source, tracer):
         fuel=args.fuel,
         deadline=args.deadline,
         latency=args.latency,
-        shared_cache=not args.no_shared_cache,
         bind=args.bind,
         tracer=tracer,
         repair=True if args.repair else None,
@@ -889,7 +888,7 @@ def build_parser():
     p_top = sub.add_parser(
         "top",
         help="live dashboard over a running server's /metrics "
-             "(req/s, per-op p50/p95, worker liveness, cache hit rate)",
+             "(req/s, per-op p50/p95, worker liveness, memo hit rate)",
     )
     p_top.add_argument(
         "url", help="server base URL (or its /metrics URL directly)"
@@ -1045,7 +1044,11 @@ def build_parser():
         "--port", type=int, default=8737,
         help="TCP port (0 picks an ephemeral port)",
     )
-    p_serve.add_argument("--bind", default="127.0.0.1")
+    p_serve.add_argument(
+        "--bind", default="127.0.0.1",
+        help="address the HTTP server listens on (cluster workers "
+             "always listen on 127.0.0.1)",
+    )
     p_serve.add_argument(
         "--pool-size", type=int, default=16,
         help="resident sessions before LRU eviction to session images",
@@ -1104,13 +1107,9 @@ def build_parser():
         "--cluster-workers", type=int, default=0, metavar="N",
         help="shard the host across N worker processes behind one HTTP "
              "front (repro.cluster): consistent-hash routing, per-worker "
-             "write-ahead journals, kill-9-proof respawn, and a shared "
-             "cross-session memo cache; --journal-dir anchors the "
-             "per-worker journals (0 = single-process)",
-    )
-    p_serve.add_argument(
-        "--no-shared-cache", action="store_true",
-        help="cluster mode only: disable the cross-process memo cache",
+             "write-ahead journals, kill-9-proof respawn, and one "
+             "cross-session memo store per worker; --journal-dir anchors "
+             "the per-worker journals (0 = single-process)",
     )
     backend_option(p_serve)
     jsonl_option(p_serve)

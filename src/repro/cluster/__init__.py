@@ -1,43 +1,36 @@
-"""repro.cluster — sharded multi-process serving with a shared memo cache.
+"""repro.cluster — sharded multi-process serving.
 
 The single-process server (:mod:`repro.serve`) hosts many sessions in
 one process; this package shards that host across N worker processes:
 
 * :mod:`.ring` — consistent hashing, token → worker slot;
-* :mod:`.transport` — length-prefixed frames over stdlib TCP;
+* :mod:`.transport` — length-prefixed frames over loopback TCP;
 * :mod:`.worker` — one :class:`~repro.serve.host.SessionHost` behind a
   frame socket, write-ahead journaled, ``python -m``-spawnable;
 * :mod:`.supervisor` — spawns/watches/revives workers, rebalances
-  tokens on retire, runs the shared memo cache server;
-* :mod:`.memoshare` — the cross-process memo tier
-  (:class:`~repro.cluster.memoshare.TieredMemoStore`);
+  tokens on retire;
 * :mod:`.frontend` — the HTTP-facing router.
 
 ``kill -9`` of any worker is invisible beyond latency: the slot's
 write-ahead journal (:mod:`repro.resilience`) rebuilds every session in
 the respawn, byte-identical, with strictly increasing display
-generations.  Sessions running the same app warm each other through
-the shared digest-keyed memo cache — within a worker via one
-:class:`~repro.incremental.store.MemoStore`, across workers via the
-supervisor's :class:`~repro.cluster.memoshare.CacheServer`.
+generations.  Sessions on the same worker warm each other through the
+worker's one digest-keyed
+:class:`~repro.incremental.store.MemoStore`.
 """
 
 from .frontend import ClusterRouter, WorkerUnavailable
-from .memoshare import CacheClient, CacheServer, TieredMemoStore
 from .ring import HashRing
 from .supervisor import ClusterSupervisor, WorkerDied
 from .transport import FrameClient, FrameServer, TransportError
 from .worker import Worker, adopt_session, worker_main
 
 __all__ = [
-    "CacheClient",
-    "CacheServer",
     "ClusterRouter",
     "ClusterSupervisor",
     "FrameClient",
     "FrameServer",
     "HashRing",
-    "TieredMemoStore",
     "TransportError",
     "Worker",
     "WorkerDied",

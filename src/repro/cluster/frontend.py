@@ -14,9 +14,9 @@ handled at the front:
   which makes crash-retry of a create safe;
 * ``stats`` — aggregated across workers: summed session counts, summed
   *counters* (gauges are reported as per-worker series, never summed),
-  per-worker breakdowns, cache-tier stats and the cluster's own
-  counters; a ``trace_id`` field makes it double as the trace fetch —
-  the response carries the stitched cross-process span tree.
+  per-worker breakdowns and the cluster's own counters; a
+  ``trace_id`` field makes it double as the trace fetch — the response
+  carries the stitched cross-process span tree.
 
 Every forwarded request is stamped with a fresh ``trace_id`` and the
 front's op span id (the ``"_trace"`` frame header); worker spans open
@@ -236,8 +236,6 @@ class ClusterRouter:
         stats["workers"] = {
             str(slot): s for slot, s in sorted(worker_stats.items())
         }
-        if self.supervisor.cache is not None:
-            stats["shared_cache"] = self.supervisor.cache.stats()
         stats["metrics"] = metrics
         stats["gauges"] = gauges
         response = {
@@ -303,17 +301,6 @@ class ClusterRouter:
                 else:
                     histograms[name] = histogram
         gauges.update(self.supervisor.slot_gauges())
-        if self.supervisor.cache is not None:
-            # The shared memo tier lives in the front process: its
-            # cumulative counts are ordinary counters, its occupancy a
-            # gauge.
-            cache_stats = self.supervisor.cache.stats()
-            for key in ("gets", "hits", "puts", "evictions",
-                        "lease_waits", "lease_hits"):
-                counters["cluster.cache.{}".format(key)] = cache_stats[key]
-            gauges["cluster.cache.entries"] = {
-                "front": cache_stats["entries"]
-            }
         return render_prometheus(
             counters=counters, gauges=gauges, histograms=histograms
         )

@@ -11,9 +11,9 @@ invisible beyond latency: nothing acknowledged is lost, display
 generations keep strictly increasing (``repro.resilience``'s floor), and
 the replayed HTML is byte-identical.
 
-The supervisor also runs the cluster's shared memo tier
-(:class:`~repro.cluster.memoshare.CacheServer`) — it is the one process
-guaranteed to outlive any worker.
+Workers always listen on loopback: ``bind`` is the HTTP front's
+address only, never the frame sockets that carry the internal
+``__drain__``/``__adopt__`` ops.
 
 **Rebalance** (:meth:`ClusterSupervisor.retire`) removes a slot
 permanently: the ring drops it first (new traffic already routes
@@ -41,9 +41,8 @@ import time
 from ..core.errors import ReproError
 from ..obs.trace import NULL_TRACER
 from ..resilience.journal import Journal
-from .memoshare import CacheServer
 from .ring import HashRing
-from .transport import ClientPool, TransportError
+from .transport import LOOPBACK, ClientPool, TransportError
 
 #: How long a spawn may take to publish its port before it is declared
 #: stillborn.  Generous: a cold worker may replay a long journal first.
@@ -116,12 +115,14 @@ def _python_path():
 
 
 class ClusterSupervisor:
-    """Owns the worker fleet, the hash ring and the shared memo cache.
+    """Owns the worker fleet and the hash ring.
 
     ``source`` is the default app every worker serves (the ``create``
     op may still carry its own).  ``journal_root`` anchors each slot's
     journal directory; by default a fresh temp directory, but pointing
     it somewhere durable makes the whole cluster crash-recoverable.
+    ``bind`` records the HTTP front's address; worker frame sockets
+    listen on loopback regardless.
     """
 
     def __init__(
@@ -137,8 +138,6 @@ class ClusterSupervisor:
         fuel=None,
         deadline=None,
         latency=None,
-        shared_cache=True,
-        cache_entries=65536,
         memo_entries=4096,
         bind="127.0.0.1",
         connections_per_worker=4,
@@ -180,11 +179,6 @@ class ClusterSupervisor:
         self._connections_per_worker = connections_per_worker
         self._ping_interval = ping_interval
         self._drain_timeout = drain_timeout
-        self.cache = None
-        if shared_cache:
-            self.cache = CacheServer(
-                max_entries=cache_entries, bind=bind, tracer=self.tracer
-            )
         self._slots = {}
         for index in range(workers):
             directory = os.path.join(
@@ -203,8 +197,6 @@ class ClusterSupervisor:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self):
-        if self.cache is not None:
-            self.cache.start()
         for slot in self._slots.values():
             self._spawn(slot)
         self._monitor = threading.Thread(
@@ -214,15 +206,13 @@ class ClusterSupervisor:
         return self
 
     def stop(self):
-        """Drain every worker gracefully, then stop the cache tier."""
+        """Drain every worker gracefully."""
         self._stopping.set()
         if self._monitor is not None:
             self._monitor.join(timeout=self._ping_interval * 3)
         for slot in self._slots.values():
             with slot.lock:
                 self._stop_slot(slot)
-        if self.cache is not None:
-            self.cache.stop()
 
     def _stop_slot(self, slot):
         """Slot lock held: ask for a drain, escalate if ignored."""
@@ -254,12 +244,8 @@ class ClusterSupervisor:
         config.update({
             "slot": slot.slot,
             "source": self.source,
-            "bind": self.bind,
             "journal_dir": slot.journal_dir,
             "port_file": slot.port_file,
-            "cache_address": (
-                list(self.cache.address) if self.cache is not None else None
-            ),
         })
         return config
 
@@ -284,7 +270,7 @@ class ClusterSupervisor:
             log.close()
         slot.last_spawn = time.monotonic()
         slot.port = self._await_port(slot)
-        address = (self.bind, slot.port)
+        address = (LOOPBACK, slot.port)
         if slot.pool is None:
             slot.pool = ClientPool(
                 address, size=self._connections_per_worker
@@ -492,15 +478,12 @@ class ClusterSupervisor:
                 if slot.last_ping is not None else None
             )
             workers.append(info)
-        payload = {
+        return {
             "ok": all_alive,
             "role": "cluster",
             "workers": workers,
             "ring_slots": list(self.ring.slots),
         }
-        if self.cache is not None:
-            payload["cache_entries"] = self.cache.stats()["entries"]
-        return payload
 
     def worker_stats(self):
         """Each live worker's ``stats`` op response payload, by slot."""
@@ -522,7 +505,7 @@ class ClusterSupervisor:
 
     def observability_snapshot(self):
         """``(counters, gauges, histograms)`` of the front process's own
-        tracer (routing counters, cache-server latencies, …) — the
+        tracer (routing counters, frame round trips, …) — the
         front-side contribution to ``/metrics``."""
         with self._metrics_lock:
             return (

@@ -3,9 +3,9 @@
 The cluster's one wire primitive: a **frame** is a 4-byte big-endian
 length followed by that many payload bytes.  Protocol ops ride as JSON
 frames (the same :mod:`repro.serve.protocol` objects HTTP carries —
-one codec, two transports); the shared memo tier rides as pickle
-frames.  Everything is loopback-only by default: workers bind
-``127.0.0.1`` ephemeral ports and publish them through port files.
+one codec, two transports).  Everything is loopback-only: workers
+bind ephemeral ports on :data:`LOOPBACK` and publish them through port
+files.
 
 Three pieces:
 
@@ -30,6 +30,11 @@ import threading
 from ..core.errors import ReproError
 
 _HEADER = struct.Struct(">I")
+
+#: The only address a frame server listens on: frames carry the
+#: cluster-internal ops (drain, adopt a named journal), which must
+#: never face the network.
+LOOPBACK = "127.0.0.1"
 
 #: Frames above this are refused — a corrupt header must not allocate
 #: gigabytes.  Session images ride in frames, so the cap is generous.
@@ -100,10 +105,10 @@ class FrameServer:
     the graceful-shutdown contract workers rely on.
     """
 
-    def __init__(self, handler, bind="127.0.0.1", port=0, backlog=64):
+    def __init__(self, handler, port=0, backlog=64):
         self._handler = handler
         self._listener = socket.create_server(
-            (bind, port), backlog=backlog, reuse_port=False
+            (LOOPBACK, port), backlog=backlog, reuse_port=False
         )
         self._address = self._listener.getsockname()
         self._connections = set()

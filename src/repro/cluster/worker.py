@@ -14,7 +14,7 @@ Three internal ops ride the same socket but never the public HTTP face
 * ``__status__`` — liveness probe: pid, slot, :meth:`SessionHost.healthz`,
   metrics and memo stats;
 * ``__drain__``  — graceful shutdown: stop accepting, finish in-flight
-  requests, flush the memo publisher, close the journal, exit 0;
+  requests, close the journal, exit 0;
 * ``__adopt__``  — rebalance: replay one token out of a *retired*
   worker's journal into this host (see :func:`adopt_session`);
 * ``__metrics__`` — counters, gauges and latency histograms in
@@ -46,6 +46,7 @@ import sys
 import threading
 
 from ..core.errors import EvalError, ReproError
+from ..incremental.store import MemoStore
 from ..obs.sinks import filter_trace
 from ..obs.trace import Tracer
 from ..resilience.journal import (
@@ -54,7 +55,6 @@ from ..resilience.journal import (
 from ..serve.host import SessionHost
 from ..serve.protocol import error_response, handle_request
 from ..stdlib.web import DEFAULT_LATENCY, make_services, web_host_impls
-from .memoshare import CacheClient, TieredMemoStore
 from .transport import FrameServer, decode_json, encode_json
 
 
@@ -128,18 +128,6 @@ class Worker:
         self.tracer = Tracer(
             id_prefix="w{}.{}".format(self.slot, os.getpid())
         )
-        cache_address = config.get("cache_address")
-        self.cache_client = None
-        memo_store = None
-        if cache_address is not None:
-            self.cache_client = CacheClient(
-                tuple(cache_address), tracer=self.tracer
-            )
-            memo_store = TieredMemoStore(
-                self.cache_client,
-                max_entries=config.get("memo_entries", 4096),
-                tracer=self.tracer,
-            )
         latency = config.get("latency")
         if latency is None:
             latency = DEFAULT_LATENCY
@@ -179,7 +167,12 @@ class Worker:
             tracer=self.tracer,
             session_kwargs=session_kwargs,
             quarantine_after=config.get("quarantine_after", 3),
-            memo_store=memo_store,
+            # One store per worker: every session on it warms the
+            # others (cluster.memo.shared_hits).
+            memo_store=MemoStore(
+                max_entries=config.get("memo_entries", 4096),
+                tracer=self.tracer,
+            ),
             repair=repair,
         )
         self.recovery = None
@@ -193,9 +186,7 @@ class Worker:
             )
             self.recovery = recover(self.host, journal)
         self._drain = threading.Event()
-        self.server = FrameServer(
-            self._handle, bind=config.get("bind", "127.0.0.1")
-        )
+        self.server = FrameServer(self._handle)
 
     # -- request handling ---------------------------------------------------
 
@@ -256,8 +247,7 @@ class Worker:
             "slot": self.slot,
             "pid": os.getpid(),
             "healthz": self.host.healthz(),
-            "memo": (self.host.memo_store.stats()
-                     if self.host.memo_store is not None else None),
+            "memo": self.host.memo_store.stats(),
             "recovered": (report.sessions if report is not None else 0),
         }
 
@@ -329,11 +319,8 @@ class Worker:
         self._drain.wait()
 
     def shutdown(self, drain_timeout=5.0):
-        """The graceful half of the crash contract: drain, flush, close."""
+        """The graceful half of the crash contract: drain, then close."""
         drained = self.server.stop(drain_timeout=drain_timeout)
-        if self.cache_client is not None:
-            self.cache_client.flush(timeout=2.0)
-            self.cache_client.close()
         if self.host.journal is not None:
             self.host.journal.close()
         return drained

@@ -41,7 +41,10 @@ The one documented divergence is the *step count* behind
 application (the only recursion source), so a divergent program still
 exhausts any fuel budget, but at a different count than the per-node
 machines — differential tests compare fault *types* for fuel and exact
-messages for everything else.
+messages for everything else.  Non-tail calls still nest Python frames,
+so recursion deeper than the interpreter's stack also ends in
+``FuelExhausted`` where the tree machines (explicit continuation stack)
+keep going.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from ..boxes.tree import Box, make_root
 from ..core import ast
 from ..core.defs import Code
 from ..core.effects import PURE, RENDER, STATE
-from ..core.errors import ReproError, StuckExpression
+from ..core.errors import FuelExhausted, ReproError, StuckExpression
 from ..core.prims import PRIM_SIGS
 from ..eval.machine import DEFAULT_FUEL, _check_queue, _OccurrenceCounter
 from ..eval.memo import replay_items
@@ -685,6 +688,13 @@ class Compiled:
             frame = _Frame(0)
             run = self._compile(expr, {}, frame, False)
             return _invoke(run, rt, [None] * frame.size)
+        except RecursionError:
+            # Non-tail calls nest Python frames; past the interpreter's
+            # limit the run is out of a resource, like fuel.
+            raise FuelExhausted(
+                "evaluation exceeded the compiled machine's stack depth "
+                "(non-tail recursion too deep)"
+            ) from None
         finally:
             self.tracer.add("eval_steps", rt.steps)
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from .effects import Effect
 from .errors import ReproError
-from .pickling import SlotStatePickle
 from .types import Type
 
 _fresh_counter = itertools.count()
@@ -47,7 +46,7 @@ def fresh_name(base="x"):
     return "{}%{}".format(base, next(_fresh_counter))
 
 
-class Expr(SlotStatePickle):
+class Expr:
     """Base class of all expressions."""
 
     __slots__ = ()

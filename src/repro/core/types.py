@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 from .effects import Effect, subeffect
 from .errors import ReproError
-from .pickling import SlotStatePickle
 
 
-class Type(SlotStatePickle):
+class Type:
     """Base class for all types.  Instances are immutable."""
 
     __slots__ = ()

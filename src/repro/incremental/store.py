@@ -39,10 +39,6 @@ from collections import OrderedDict
 
 from ..obs.trace import NULL_TRACER
 
-#: ``origin`` tag for entries imported from the cross-process cache tier
-#: (:mod:`repro.cluster.memoshare`): always foreign to every session.
-REMOTE_ORIGIN = "<remote>"
-
 
 class MemoEntry:
     """One cached render call.
@@ -56,9 +52,8 @@ class MemoEntry:
     the code's declared initial value, which an update can change with
     the digest fixed, so version-0 slots always deep-compare.
 
-    ``origin`` names the session (token) that executed the call, or
-    :data:`REMOTE_ORIGIN` for entries imported from the cross-process
-    tier; ``None`` for private per-System stores.  A validated hit on an
+    ``origin`` names the session (token) that executed the call;
+    ``None`` for private per-System stores.  A validated hit on an
     entry with a *different* origin is a cross-session warm hit
     (``cluster.memo.shared_hits``).
     """
@@ -93,9 +88,11 @@ class MemoStore:
         self._lock = threading.RLock()
         self.tracer = tracer
         self.evictions = 0
+        self.lookups = 0
 
     def get(self, key):
         with self._lock:
+            self.lookups += 1
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
@@ -159,6 +156,7 @@ class MemoStore:
                 "entries": len(self._entries),
                 "max_entries": self._max_entries,
                 "evictions": self.evictions,
+                "lookups": self.lookups,
             }
 
 

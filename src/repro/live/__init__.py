@@ -12,14 +12,4 @@ from .probe import ProbeResult, probe_expression, probe_function
 from .screenshot import code_pane, side_by_side
 from .session import EditResult
 
-from .._compat import deprecated_facade
-
-__all__ = [name for name in dir() if not name.startswith("_")] + [
-    "LiveSession"
-]
-
-# ``repro.live.LiveSession`` still works, with a DeprecationWarning —
-# the supported spelling is ``from repro.api import LiveSession``.
-__getattr__ = deprecated_facade(
-    __name__, {"LiveSession": ("repro.live.session", "LiveSession")}
-)
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -44,14 +44,6 @@ from .trace import (
     clock,
 )
 
-from .._compat import deprecated_facade
-
-# ``repro.obs.Tracer`` still works, with a DeprecationWarning — the
-# supported spelling is ``from repro.api import Tracer``.
-__getattr__ = deprecated_facade(
-    __name__, {"Tracer": ("repro.obs.trace", "Tracer")}
-)
-
 __all__ = [
     "BUCKET_BOUNDS",
     "BUCKET_SCHEMA",
@@ -70,7 +62,6 @@ __all__ = [
     "SpanRecord",
     "Stopwatch",
     "TextSink",
-    "Tracer",
     "clock",
     "delta_histogram",
     "filter_trace",

@@ -124,10 +124,10 @@ class TopView:
                     routed,
                 )
             )
-        hit_rate = self._cache_hit_rate(counters, previous_counters,
-                                        windowed)
+        hit_rate = self._memo_hit_rate(counters, previous_counters,
+                                       windowed)
         if hit_rate is not None:
-            summary.append("cache hit rate: {:.1f}%".format(hit_rate * 100))
+            summary.append("memo hit rate: {:.1f}%".format(hit_rate * 100))
         breakers = _gauge_series(families, "repro_sessions_open_breakers")
         if breakers:
             total = sum(breakers.values())
@@ -153,9 +153,8 @@ class TopView:
         self._previous_at = now
         return "\n".join(lines) + "\n"
 
-    def _cache_hit_rate(self, counters, previous_counters, windowed):
-        """Shared-cache hit rate (windowed when possible); falls back
-        to the single-process memo counters."""
+    def _memo_hit_rate(self, counters, previous_counters, windowed):
+        """Render-memo hit rate (windowed when possible)."""
         def delta(name):
             value = counters.get(name)
             if value is None:
@@ -164,18 +163,11 @@ class TopView:
                 return max(0.0, value - previous_counters.get(name, 0.0))
             return value
 
-        gets = delta("repro_cluster_cache_gets_total")
-        hits = delta("repro_cluster_cache_hits_total") or 0.0
-        if gets is None:
-            memo_hits = delta("repro_memo_hits_total")
-            memo_misses = delta("repro_memo_misses_total")
-            if memo_hits is None or memo_misses is None:
-                return None
-            gets = memo_hits + memo_misses
-            hits = memo_hits
-        if gets > 0:
-            return max(0.0, min(1.0, hits / gets))
-        return None
+        hits = delta("repro_memo_hits_total")
+        misses = delta("repro_memo_misses_total")
+        if hits is None or misses is None or hits + misses <= 0:
+            return None
+        return max(0.0, min(1.0, hits / (hits + misses)))
 
     def _op_table(self, histograms, previous_histograms, windowed,
                   elapsed):

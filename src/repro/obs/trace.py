@@ -73,21 +73,15 @@ CATALOG = (
     "incremental.update_misses",
     "incremental.replayed_boxes",
     "incremental.html_short_circuits",
-    # repro.cluster — sharded workers + the shared memo tier
-    # (docs/SERVER.md).  Routing/liveness counters live on the front
-    # and supervisor tracers; memo counters on each worker's.
+    # repro.cluster — sharded workers (docs/SERVER.md).  Routing/
+    # liveness counters live on the front and supervisor tracers; the
+    # shared-memo counter on each worker's.
     "cluster.requests_routed",
     "cluster.worker_respawns",
     "cluster.worker_respawn_backoffs",
     "cluster.worker_retries",
     "cluster.tokens_rebalanced",
     "cluster.memo.shared_hits",
-    "cluster.memo.remote_hits",
-    "cluster.memo.remote_misses",
-    "cluster.memo.remote_skips",
-    "cluster.memo.remote_errors",
-    "cluster.memo.publishes",
-    "cluster.memo.publish_errors",
     # repro.provenance — replay, time travel & why-queries
     # (docs/OBSERVABILITY.md).
     "replay.sessions",

@@ -38,21 +38,12 @@ from .journal import (
 )
 from .supervisor import Budget, Supervisor, UNLIMITED, UpdateOutcome
 
-from .._compat import deprecated_facade
-
-# ``repro.resilience.Journal`` still works, with a DeprecationWarning —
-# the supported spelling is ``from repro.api import Journal``.
-__getattr__ = deprecated_facade(
-    __name__, {"Journal": ("repro.resilience.journal", "Journal")}
-)
-
 __all__ = [
     "Budget",
     "ChaosEvaluator",
     "ChaosServices",
     "FaultInjector",
     "FaultPlan",
-    "Journal",
     "POINTS",
     "RecoveryReport",
     "Supervisor",

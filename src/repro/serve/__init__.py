@@ -28,18 +28,9 @@ See ``docs/SERVER.md`` for the protocol reference and pooling semantics.
 from .batching import BatchReport, apply_batch
 from .protocol import PROTOCOL_VERSION, handle_request
 
-from .._compat import deprecated_facade
-
 __all__ = [
     "BatchReport",
     "PROTOCOL_VERSION",
-    "SessionHost",
     "apply_batch",
     "handle_request",
 ]
-
-# ``repro.serve.SessionHost`` still works, with a DeprecationWarning —
-# the supported spelling is ``from repro.api import SessionHost``.
-__getattr__ = deprecated_facade(
-    __name__, {"SessionHost": ("repro.serve.host", "SessionHost")}
-)

@@ -6,12 +6,4 @@ from .services import Services, VirtualClock
 from .state import PageStack, Store, SystemState
 from .transitions import System, Transition
 
-from .._compat import deprecated_facade
-
-__all__ = [name for name in dir() if not name.startswith("_")] + ["Runtime"]
-
-# ``repro.system.Runtime`` still works, with a DeprecationWarning — the
-# supported spelling is ``from repro.api import Runtime``.
-__getattr__ = deprecated_facade(
-    __name__, {"Runtime": ("repro.system.runtime", "Runtime")}
-)
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -39,8 +39,7 @@ class FakeProcess:
 @pytest.fixture
 def supervisor(tmp_path, monkeypatch):
     supervisor = ClusterSupervisor(
-        workers=1, journal_root=str(tmp_path),
-        shared_cache=False, tracer=Tracer(),
+        workers=1, journal_root=str(tmp_path), tracer=Tracer(),
     )
     spawned = []
 

@@ -62,8 +62,9 @@ class TestLRU:
         store = MemoStore(max_entries=1)
         store.put(("a", None), entry("a"))
         store.put(("b", None), entry("b"))
+        store.get(("a", None))
         assert store.stats() == {
-            "entries": 1, "max_entries": 1, "evictions": 1,
+            "entries": 1, "max_entries": 1, "evictions": 1, "lookups": 1,
         }
 
 

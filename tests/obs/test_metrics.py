@@ -47,14 +47,14 @@ class TestRendering:
     def test_gauges_render_scalar_or_labeled_never_summed(self):
         text = render_prometheus(gauges={
             "incremental.update_reuse_ratio": {"0": 0.8, "1": 0.4},
-            "cluster.cache.entries": 12,
+            "sessions.open_breakers": 12,
         })
         lines = text.splitlines()
         assert 'repro_incremental_update_reuse_ratio{worker="0"} 0.8' \
             in lines
         assert 'repro_incremental_update_reuse_ratio{worker="1"} 0.4' \
             in lines
-        assert "repro_cluster_cache_entries 12" in lines
+        assert "repro_sessions_open_breakers 12" in lines
         # The nonsense sum (1.2) must appear nowhere.
         assert all("1.2" not in line for line in lines)
 
@@ -145,8 +145,8 @@ def scrape(routed, render_values, up=("1", "1")):
     return render_prometheus(
         counters={
             "cluster.requests_routed": routed,
-            "cluster.cache.gets": routed,
-            "cluster.cache.hits": routed // 2,
+            "memo_hits": routed // 2,
+            "memo_misses": routed - routed // 2,
         },
         gauges={
             "sessions.open_breakers": {"0": 0, "1": 1},
@@ -170,6 +170,7 @@ class TestTopView:
         assert "op_render" in screen
         assert "worker" in screen
         assert "open breakers: 1" in screen
+        assert "memo hit rate: 50.0%" in screen
 
     def test_second_frame_is_windowed_with_rates(self):
         view = TopView()

@@ -1,4 +1,5 @@
-"""The consolidated public facade (repro.api) and its deprecation shims."""
+"""The consolidated public facade (repro.api); the old deep spellings
+are gone."""
 
 import inspect
 import warnings
@@ -84,16 +85,13 @@ class TestFacadeSurface:
 
 class TestDeprecationShims:
     @pytest.mark.parametrize("name", FACADE_NAMES)
-    def test_old_deep_import_warns_and_returns_original(self, name):
+    def test_old_deep_import_raises_attribute_error(self, name):
         import importlib
 
         package = importlib.import_module(DEEP_HOMES[name])
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            shimmed = getattr(package, name)
-        defining = importlib.import_module(DEFINING_MODULES[name])
-        # The shim hands back the *defining* class — original
-        # positional signatures keep working for old call sites.
-        assert shimmed is getattr(defining, name)
+        with pytest.raises(AttributeError):
+            getattr(package, name)
+        assert name not in package.__all__
 
     def test_defining_module_import_does_not_warn(self):
         with warnings.catch_warnings():
