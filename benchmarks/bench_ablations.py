@@ -78,19 +78,21 @@ def test_machine_tax_scaling(benchmark, machine_cls, n):
     assert result == ast.Num(n * (n + 1) / 2)
 
 
-@pytest.mark.parametrize(
-    "check_updates", (True, False), ids=("premise=on", "premise=off")
-)
-def test_update_premise_cost(benchmark, check_updates):
-    """How much of an UPDATE is the C' ⊢ C' premise?"""
+def test_update_cost(benchmark):
+    """A whole UPDATE (premise, fix-up, re-render) of unseen code."""
     compiled = compile_mortgage()
     runtime = Runtime(
         compiled.code, natives=compiled.natives, services=make_services()
     ).start()
-    runtime.system.check_updates = check_updates
 
     def update():
         # A fresh ``Code`` value carries no verdict, so the premise runs.
         runtime.update_code(Code(compiled.code), natives=compiled.natives)
 
     benchmark(update)
+
+
+def test_update_premise_cost(benchmark):
+    """The C' ⊢ C' premise alone, on the same unseen code."""
+    compiled = compile_mortgage()
+    benchmark(lambda: code_problems(Code(compiled.code), compiled.natives))

@@ -174,7 +174,6 @@ def run_mode(mode, sessions=32, rows=12, cols=6, drivers=4):
             make_host_impls=web_host_impls,
             make_services=make_services,
             tracer=Tracer(),
-            session_kwargs={"reuse_boxes": True, "memo_render": True},
         )
         raw = _serve_and_drive(host, sessions, drivers)
         metrics = raw["stats"].get("metrics", {})

@@ -49,6 +49,7 @@ from conftest import append_bench_record, latest_baselines  # noqa: E402
 from repro.obs.histo import percentile
 from repro.apps.gallery import function_gallery_source
 from repro.apps.mortgage import BASE_SOURCE, compile_mortgage
+from repro.incremental.store import MemoStore
 from repro.stdlib.web import make_services
 from repro.surface.compile import compile_source
 from repro.system.transitions import System
@@ -87,37 +88,53 @@ def _gallery_variants():
     return [(c.code, c.natives, None) for c in compiled]
 
 
-def _measure(variants, backend, rounds):
-    """p50/p95 wall seconds of edit→render on one backend."""
-    code, natives, services = variants[0]
-    system = System(
-        code, natives=natives, services=services, backend=backend
-    )
-    system.run_to_stable()
-    timings = []
-    for step in range(rounds):
-        next_code, next_natives, _services = variants[(step + 1) % 2]
-        started = time.perf_counter()
-        system.update(next_code, natives=next_natives)
+def _measure(make_variants, rounds):
+    """p50/p95 wall seconds of edit→render per backend.
+
+    Each backend edits its own system, alternating the variants; the
+    backends take turns round by round, so a machine slowing down or
+    speeding up during the run moves both alike.  The memo store is
+    cleared before each timed edit, so every round runs the whole
+    render body on the backend under test.
+    """
+    sides = {}
+    for backend in ("tree", "compiled"):
+        variants = make_variants()
+        code, natives, services = variants[0]
+        store = MemoStore()
+        system = System(
+            code, natives=natives, services=services, backend=backend,
+            memo_store=store,
+        )
         system.run_to_stable()
-        timings.append(time.perf_counter() - started)
-    timings.sort()
-    return {
-        "p50_seconds": percentile(timings, 0.50),
-        "p95_seconds": percentile(timings, 0.95),
-    }
+        sides[backend] = (variants, store, system, [])
+    for step in range(rounds):
+        for variants, store, system, timings in sides.values():
+            next_code, next_natives, _services = variants[(step + 1) % 2]
+            store.clear()
+            started = time.perf_counter()
+            system.update(next_code, natives=next_natives)
+            system.run_to_stable()
+            timings.append(time.perf_counter() - started)
+    results = {}
+    for backend, (_variants, _store, _system, timings) in sides.items():
+        timings.sort()
+        results[backend] = {
+            "p50_seconds": percentile(timings, 0.50),
+            "p95_seconds": percentile(timings, 0.95),
+        }
+    return results["tree"], results["compiled"]
 
 
 def run_workload(name, rounds=40):
     """Tree-vs-compiled comparison for one workload; the record body."""
     if name == "listings":
-        variants = _listings_variants()
+        make_variants = _listings_variants
     elif name == "gallery":
-        variants = _gallery_variants()
+        make_variants = _gallery_variants
     else:
         raise ValueError("unknown workload {!r}".format(name))
-    tree = _measure(variants, backend="tree", rounds=rounds)
-    compiled = _measure(variants, backend="compiled", rounds=rounds)
+    tree, compiled = _measure(make_variants, rounds)
     speedup = (
         tree["p50_seconds"] / compiled["p50_seconds"]
         if compiled["p50_seconds"] else 0.0

@@ -4,11 +4,12 @@ Measures the *live-loop latency*: the wall time of one edit→render step
 (UPDATE with the Fig. 12 fix-up, then the first RENDER of the new code),
 cold versus warm:
 
-* **cold** — ``memo_render=False``: every edit re-executes the whole
-  render body, the paper's baseline full rebuild;
-* **warm** — ``memo_render=True``: render-function calls whose code
-  digest and read-set values the edit left unchanged replay their cached
-  box subtrees from the update-surviving memo store (docs/PERF.md).
+* **cold** — the session's memo store is cleared before each timed
+  edit, so the edit re-executes the whole render body, the paper's
+  baseline full rebuild;
+* **warm** — the store survives the edit: render-function calls whose
+  code digest and read-set values the edit left unchanged replay their
+  cached box subtrees (docs/PERF.md).
 
 Two workloads, both editing a string only the page's *inline* body
 reads, so every helper function's digest survives the edit:
@@ -48,6 +49,7 @@ from conftest import append_bench_record, latest_baselines  # noqa: E402
 from repro.obs.histo import percentile
 from repro.apps.gallery import function_gallery_source
 from repro.apps.mortgage import compile_mortgage
+from repro.incremental.store import MemoStore
 from repro.stdlib.web import make_services
 from repro.surface.compile import compile_source
 from repro.system.transitions import System
@@ -89,38 +91,52 @@ def _listings_variants():
     ]
 
 
-def _measure(variants, memo, rounds):
-    """p50/p95 wall seconds of edit→render, alternating the variants."""
-    code, natives, services = variants[0]
-    system = System(
-        code, natives=natives, services=services, memo_render=memo
-    )
-    system.run_to_stable()
-    timings = []
-    for step in range(rounds):
-        next_code, next_natives, _services = variants[(step + 1) % 2]
-        started = time.perf_counter()
-        system.update(next_code, natives=next_natives)
+def _measure(make_variants, rounds):
+    """p50/p95 wall seconds of edit→render, cold and warm.
+
+    Each side edits its own system, alternating the variants; the two
+    sides take turns round by round, so a machine slowing down or
+    speeding up during the run moves both alike.
+    """
+    sides = {}
+    for side in ("cold", "warm"):
+        variants = make_variants()
+        code, natives, services = variants[0]
+        store = MemoStore()
+        system = System(
+            code, natives=natives, services=services, memo_store=store
+        )
         system.run_to_stable()
-        timings.append(time.perf_counter() - started)
-    timings.sort()
-    return {
-        "p50_seconds": _percentile(timings, 0.50),
-        "p95_seconds": _percentile(timings, 0.95),
-        "reuse": dict(system.last_update_render_stats),
-    }
+        sides[side] = (variants, store, system, [])
+    for step in range(rounds):
+        for side, (variants, store, system, timings) in sides.items():
+            next_code, next_natives, _services = variants[(step + 1) % 2]
+            if side == "cold":
+                store.clear()
+            started = time.perf_counter()
+            system.update(next_code, natives=next_natives)
+            system.run_to_stable()
+            timings.append(time.perf_counter() - started)
+    results = {}
+    for side, (_variants, _store, system, timings) in sides.items():
+        timings.sort()
+        results[side] = {
+            "p50_seconds": _percentile(timings, 0.50),
+            "p95_seconds": _percentile(timings, 0.95),
+            "reuse": dict(system.last_update_render_stats),
+        }
+    return results["cold"], results["warm"]
 
 
 def run_workload(name, rounds=40):
     """Cold-vs-warm comparison for one workload; returns the record body."""
     if name == "gallery":
-        variants = _gallery_variants()
+        make_variants = _gallery_variants
     elif name == "listings":
-        variants = _listings_variants()
+        make_variants = _listings_variants
     else:
         raise ValueError("unknown workload {!r}".format(name))
-    cold = _measure(variants, memo=False, rounds=rounds)
-    warm = _measure(variants, memo=True, rounds=rounds)
+    cold, warm = _measure(make_variants, rounds)
     ratio = (
         warm["p50_seconds"] / cold["p50_seconds"]
         if cold["p50_seconds"] else 1.0

@@ -68,9 +68,6 @@ WORKLOADS = {
     "long": {"events": 157, "checkpoint_every": 25, "gate": True},
 }
 
-SESSION_KWARGS = {"reuse_boxes": True, "memo_render": True}
-
-
 # The one shared nearest-rank implementation (repro.obs.histo) —
 # identical math to the former local copy, so committed baselines in
 # the BENCH_*.json trajectories stay comparable.
@@ -84,7 +81,6 @@ def _record_journal(directory, events, checkpoint_every):
         default_source=SOURCE,
         make_host_impls=web_host_impls,
         make_services=make_services,
-        session_kwargs=dict(SESSION_KWARGS),
         journal=journal,
     )
     token = host.create()
@@ -107,7 +103,6 @@ def _measure(directory, token, use_checkpoint, rounds):
             use_checkpoint=use_checkpoint,
             make_host_impls=web_host_impls,
             make_services=make_services,
-            session_kwargs=dict(SESSION_KWARGS),
         )
         timings.append(time.perf_counter() - started)
         events = result.events_replayed

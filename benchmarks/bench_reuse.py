@@ -4,7 +4,8 @@ Full rebuild re-lays-out every box; the reuse configuration shares
 unchanged subtree objects with the previous display, so the layout
 engine's identity cache skips them.  We measure the *redisplay* pipeline
 (render transition + layout) after a one-cell model change, with the
-optimization off and on, at two tree sizes — plus the diff pass itself.
+layout cache invalidated (a full rebuild) and kept (reuse), at two tree
+sizes — plus the diff pass itself.
 
 Expected shape: reuse wins when a small fraction of the tree changes and
 the saving grows with tree size; the diff overhead is linear and small.
@@ -20,16 +21,14 @@ from repro.system.runtime import Runtime
 SIZES = ((16, 4), (64, 4))
 
 
-def _runtime(rows, cols, reuse_boxes):
+def _runtime(rows, cols):
     compiled = compile_gallery(rows=rows, cols=cols)
-    return Runtime(
-        compiled.code, natives=compiled.natives, reuse_boxes=reuse_boxes
-    ).start()
+    return Runtime(compiled.code, natives=compiled.natives).start()
 
 
-def _one_change_displays(rows, cols, reuse_boxes):
+def _one_change_displays(rows, cols):
     """Two consecutive displays differing by one cell's highlight."""
-    runtime = _runtime(rows, cols, reuse_boxes)
+    runtime = _runtime(rows, cols)
     before = runtime.system.display
     runtime.tap_text("[1.1]")
     after = runtime.system.display
@@ -41,7 +40,7 @@ def _one_change_displays(rows, cols, reuse_boxes):
 )
 def test_redisplay_full_rebuild(benchmark, rows, cols):
     """Layout from scratch after a one-cell change (no sharing)."""
-    _before, after = _one_change_displays(rows, cols, reuse_boxes=False)
+    _before, after = _one_change_displays(rows, cols)
     engine = LayoutEngine()
 
     def relayout():
@@ -57,7 +56,7 @@ def test_redisplay_full_rebuild(benchmark, rows, cols):
 )
 def test_redisplay_with_reuse(benchmark, rows, cols):
     """Layout after reuse(): unchanged subtrees hit the identity cache."""
-    before, after = _one_change_displays(rows, cols, reuse_boxes=True)
+    before, after = _one_change_displays(rows, cols)
     engine = LayoutEngine()
     engine.layout(before, width=60)  # warm the cache on the old display
 
@@ -73,7 +72,7 @@ def test_redisplay_with_reuse(benchmark, rows, cols):
 )
 def test_interaction_with_reuse_end_to_end(benchmark, rows, cols):
     """The full tap→render→diff→layout pipeline, reuse on."""
-    runtime = _runtime(rows, cols, reuse_boxes=True)
+    runtime = _runtime(rows, cols)
     engine = LayoutEngine()
     engine.layout(runtime.system.display, width=60)
     cell = ["[1.1]", "[1.2]"]
@@ -89,7 +88,7 @@ def test_interaction_with_reuse_end_to_end(benchmark, rows, cols):
 @pytest.mark.parametrize("rows", (16, 64), ids=lambda r: "rows={}".format(r))
 def test_diff_pass_cost(benchmark, rows):
     """The overhead side: one reuse() pass over two almost-equal trees."""
-    runtime = _runtime(rows, 4, reuse_boxes=False)
+    runtime = _runtime(rows, 4)
     old = runtime.system.display
     runtime.tap_text("[1.1]")
     new = runtime.system.display

@@ -15,9 +15,10 @@ the layout engine keeps a per-object layout cache — then skip all work for
 reused subtrees, which is exactly the saving a retained-mode toolkit gets
 from not touching unchanged DOM nodes.
 
-The semantics is unaffected: ``reuse(old, new) == new`` structurally, and
-the optimization is off by default (``Runtime(reuse_boxes=False)``), so the
-ablation benchmark E3 can measure both configurations.
+The semantics is unaffected: ``reuse(old, new) == new`` structurally.
+Every non-faithful system runs the optimization after each RENDER; the
+``faithful=True`` oracle never does, and the ablation benchmark E3 calls
+:func:`reuse` directly to measure it on and off.
 """
 
 from __future__ import annotations

@@ -57,6 +57,7 @@ from .obs import (
     format_span_tree,
 )
 from .obs.trace import Tracer
+from .serve.host import SERVE_POSTURE
 from .stdlib.web import DEFAULT_LATENCY, make_services, web_host_impls
 from .surface.parser import parse
 from .surface.typecheck import typecheck_problems
@@ -285,9 +286,7 @@ def cmd_trace(args, out):
             tracer=tracer,
             make_host_impls=web_host_impls,
             make_services=lambda: make_services(latency=args.latency),
-            session_kwargs={
-                "reuse_boxes": True, "memo_render": True, "tracer": tracer,
-            },
+            session_kwargs=dict(SERVE_POSTURE, tracer=tracer),
         )
         print(
             "journal-derived trace of {} ({} event{} replayed):".format(
@@ -303,14 +302,11 @@ def cmd_trace(args, out):
             )
         source = _load_source(args.file)
         services = make_services(latency=args.latency)
-        # Turn the Section 5 optimizations on so their metrics are live.
         session = LiveSession(
             source,
             host_impls=web_host_impls(),
             services=services,
             tracer=tracer,
-            reuse_boxes=True,
-            memo_render=True,
         )
         if args.actions:
             _apply_actions(session, args, out)
@@ -483,7 +479,6 @@ def cmd_serve(args, out):
     from .resilience.journal import Journal
     from .serve.host import SessionHost
 
-    budget = Budget(fuel=args.fuel, deadline=args.deadline)
     host = SessionHost(
         pool_size=args.pool_size,
         default_source=source,
@@ -491,18 +486,12 @@ def cmd_serve(args, out):
         make_services=lambda: make_services(latency=args.latency),
         tracer=tracer,
         quarantine_after=args.quarantine_after,
-        # The Section 5 optimizations are semantics-preserving; a server
-        # wants them on.  Faults are recorded, budgeted and supervised
-        # (repro.resilience): a user's division by zero degrades one
-        # session, it never kills the server.
-        session_kwargs={
-            "reuse_boxes": True,
-            "memo_render": True,
-            "fault_policy": args.fault_policy,
-            "budget": budget,
-            "supervised": True,
-            "backend": args.backend,
-        },
+        session_kwargs=dict(
+            SERVE_POSTURE,
+            fault_policy=args.fault_policy,
+            budget=Budget(fuel=args.fuel, deadline=args.deadline),
+            backend=args.backend,
+        ),
         repair=True if args.repair else None,
     )
     journal = None
@@ -616,12 +605,7 @@ def _replay_options(args):
     return {
         "make_host_impls": web_host_impls,
         "make_services": lambda: make_services(latency=args.latency),
-        "session_kwargs": {
-            "reuse_boxes": True,
-            "memo_render": True,
-            "fault_policy": "record",
-            "supervised": True,
-        },
+        "session_kwargs": dict(SERVE_POSTURE),
     }
 
 

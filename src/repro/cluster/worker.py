@@ -52,7 +52,7 @@ from ..obs.trace import Tracer
 from ..resilience.journal import (
     Journal, _collate, _replay_event, recover,
 )
-from ..serve.host import SessionHost
+from ..serve.host import SERVE_POSTURE, SessionHost
 from ..serve.protocol import error_response, handle_request
 from ..stdlib.web import DEFAULT_LATENCY, make_services, web_host_impls
 from .transport import FrameServer, decode_json, encode_json
@@ -131,18 +131,17 @@ class Worker:
         latency = config.get("latency")
         if latency is None:
             latency = DEFAULT_LATENCY
-        # The same session posture ``repro serve`` runs single-process:
-        # optimizations on, faults recorded + budgeted + supervised.
+        # The same session posture ``repro serve`` runs single-process.
         # Budget objects don't cross the JSON config, so the worker
         # rebuilds one from the plain fuel/deadline numbers.
         from ..resilience import Budget
 
-        session_kwargs = {
-            "reuse_boxes": True,
-            "memo_render": True,
-            "fault_policy": config.get("fault_policy", "record"),
-            "supervised": True,
-        }
+        session_kwargs = dict(
+            SERVE_POSTURE,
+            fault_policy=config.get(
+                "fault_policy", SERVE_POSTURE["fault_policy"]
+            ),
+        )
         budget_kwargs = {}
         if config.get("fuel") is not None:
             budget_kwargs["fuel"] = config["fuel"]

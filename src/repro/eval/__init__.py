@@ -5,10 +5,6 @@ The supported way to pick an evaluator is the backend layer
 gives an :class:`EvalBackend` whose ``compile`` hook builds the machine
 for one code version.  The machine classes themselves remain importable
 for direct use (tests, metatheory, the faithful oracle).
-
-``make_evaluator`` — the pre-backend construction helper — still
-imports from here but raises :class:`DeprecationWarning`; new code
-selects a backend instead.
 """
 
 from .backends import (
@@ -41,23 +37,3 @@ from .values import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__all__.append("make_evaluator")
-
-
-def __getattr__(name):
-    if name == "make_evaluator":
-        import warnings
-
-        warnings.warn(
-            "make_evaluator is deprecated; resolve an EvalBackend "
-            "instead (repro.eval.resolve_backend) and call its "
-            "compile hook",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .machine import make_evaluator
-
-        return make_evaluator
-    raise AttributeError(
-        "module {!r} has no attribute {!r}".format(__name__, name)
-    )

@@ -557,9 +557,3 @@ class BigStep:
             expr, PURE, store, None, None, _OccurrenceCounter(), fuel
         )
 
-
-def make_evaluator(code, natives=EMPTY_NATIVES, services=None, faithful=False,
-                   tracer=NULL_TRACER):
-    """Factory: the production CEK machine, or the faithful small-stepper."""
-    cls = SmallStep if faithful else BigStep
-    return cls(code, natives=natives, services=services, tracer=tracer)

@@ -53,11 +53,11 @@ class EditResult:
     restored the last-good code and the old program is still running.
 
     ``memo_hits`` / ``memo_misses`` / ``replayed_boxes`` describe the
-    re-render that applied the edit when the session runs with
-    ``memo_render=True`` (repro.incremental): how many render calls were
-    replayed from the update-surviving memo store versus re-executed,
-    and how many cached boxes were spliced in without re-execution.
-    They stay zero for unmemoized sessions and rejected edits.
+    re-render that applied the edit (repro.incremental): how many render
+    calls were replayed from the update-surviving memo store versus
+    re-executed, and how many cached boxes were spliced in without
+    re-execution.  They stay zero for ``faithful=True`` sessions and
+    rejected edits.
     """
 
     status: str                    # "applied", "rejected", "rolled_back"
@@ -88,11 +88,10 @@ class LiveSession:
     def __init__(
         self,
         source,
+        *,
         host_impls=None,
         services=None,
         faithful=False,
-        reuse_boxes=False,
-        memo_render=False,
         memo_store=None,
         tracer=None,
         fault_policy="raise",
@@ -114,8 +113,6 @@ class LiveSession:
             natives=self.compiled.natives,
             services=services,
             faithful=faithful,
-            reuse_boxes=reuse_boxes,
-            memo_render=memo_render,
             memo_store=memo_store,
             tracer=self.tracer,
             fault_policy=fault_policy,

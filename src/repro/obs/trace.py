@@ -228,7 +228,7 @@ class Tracer:
     #: (``if tracer.enabled: ...``) without an isinstance check.
     enabled = True
 
-    def __init__(self, sinks=None, id_prefix=None):
+    def __init__(self, *, sinks=None, id_prefix=None):
         if sinks is None:
             from .sinks import InMemorySink
 

@@ -110,7 +110,7 @@ class Journal:
     """
 
     def __init__(
-        self, directory, checkpoint_every=50, tracer=None,
+        self, directory, *, checkpoint_every=50, tracer=None,
         fsync="none", fsync_interval=1.0,
     ):
         if checkpoint_every < 1:

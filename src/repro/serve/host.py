@@ -50,6 +50,7 @@ import secrets
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from types import MappingProxyType
 
 from ..core.errors import EvalError, ReproError, SessionQuarantined
 from ..live.session import LiveSession
@@ -58,6 +59,15 @@ from ..persist import load_image, save_image
 from ..render.html_backend import display_fingerprint, render_html
 from ..system.services import Services
 from .batching import apply_batch
+
+#: The session posture every serving path runs (``repro serve``, each
+#: cluster worker) and every replay of their journals rebuilds: faults
+#: are recorded and edits supervised (repro.resilience), so a user's
+#: division by zero degrades one session and never kills the server.
+#: Servers add their deployment's budget and backend on top.
+SERVE_POSTURE = MappingProxyType(
+    {"fault_policy": "record", "supervised": True}
+)
 
 
 class UnknownToken(ReproError):
@@ -122,13 +132,15 @@ class SessionHost:
     request counts are not part of the persistent image — only code and
     state are, exactly as in :mod:`repro.persist`).
 
-    ``session_kwargs`` (e.g. ``reuse_boxes=True, memo_render=True``) are
-    passed to every session; sessions always run with the null tracer —
-    host-level metrics live on ``self.tracer``.
+    ``session_kwargs`` (e.g. :data:`SERVE_POSTURE`, or
+    ``backend="compiled"``) are passed to every session; sessions always
+    run with the null tracer — host-level metrics live on
+    ``self.tracer``.
     """
 
     def __init__(
         self,
+        *,
         pool_size=16,
         default_source=None,
         make_host_impls=None,
@@ -139,7 +151,6 @@ class SessionHost:
         journal=None,
         memo_store=None,
         repair=None,
-        backend=None,
     ):
         if pool_size < 1:
             raise ReproError("pool_size must be at least 1")
@@ -151,13 +162,6 @@ class SessionHost:
         self._make_services = make_services or Services
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.session_kwargs = dict(session_kwargs or {})
-        #: Evaluator backend for every session (repro.eval.backends):
-        #: a registered name (``"tree"``/``"compiled"``) or an
-        #: :class:`~repro.eval.backends.EvalBackend`.  A ``backend`` in
-        #: ``session_kwargs`` takes precedence over this convenience
-        #: keyword; ``None`` leaves the sessions on their default.
-        if backend is not None:
-            self.session_kwargs.setdefault("backend", backend)
         #: Circuit breaker threshold: this many *consecutive* faulting
         #: operations quarantine a session (``None`` disables).  A
         #: quarantined session refuses interactions with the typed
@@ -177,8 +181,7 @@ class SessionHost:
         #: :class:`~repro.incremental.store.SessionMemoView` over this
         #: one store instead of a private per-System cache, so sessions
         #: running the same app warm each other; validated hits on
-        #: foreign entries count ``cluster.memo.shared_hits``.  Passing
-        #: a store implies ``memo_render=True`` for every session.
+        #: foreign entries count ``cluster.memo.shared_hits``.
         self.memo_store = memo_store
         #: Live repair (repro.repair).  ``repair=True`` (or a
         #: :class:`~repro.repair.RepairBudget`) arms *automatic* repair

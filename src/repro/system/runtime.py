@@ -57,11 +57,10 @@ class Runtime:
     def __init__(
         self,
         code,
+        *,
         natives=EMPTY_NATIVES,
         services=None,
         faithful=False,
-        reuse_boxes=False,
-        memo_render=False,
         memo_store=None,
         fault_policy="raise",
         tracer=None,
@@ -84,8 +83,6 @@ class Runtime:
             natives=natives,
             services=services,
             faithful=faithful,
-            reuse_boxes=reuse_boxes,
-            memo_render=memo_render,
             memo_store=memo_store,
             tracer=self.tracer,
             budget=budget,

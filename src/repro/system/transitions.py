@@ -18,11 +18,12 @@ RENDER is the only rule that produces a box tree, and it always runs the
 *current* code against the *current* store — which is precisely why a
 code update is immediately reflected in the view.
 
-The optional box-tree **reuse optimization** (Section 5) is implementation
-caching layered *outside* the semantics: the previous valid display is
-remembered privately, and after a re-render unchanged subtrees are shared
-with it (:mod:`repro.boxes.diff`).  The observable display is structurally
-identical either way; tests assert that.
+The Section 5 optimizations are implementation caching layered *outside*
+the semantics, and every non-faithful system runs both: RENDER consults a
+render memo (:mod:`repro.eval.memo`), and afterwards shares unchanged
+subtrees with the previous valid display (:mod:`repro.boxes.diff`).  The
+observable display is structurally identical to the ``faithful=True``
+oracle, which runs neither; tests assert that.
 """
 
 from __future__ import annotations
@@ -80,11 +81,13 @@ def _core_problems(code, natives):
 class System:
     """A running program: the state σ plus the machinery to step it.
 
-    ``faithful=True`` drives every expression evaluation through the
-    literal small-step machine instead of the CEK machine — identical
-    observable behaviour (differential tests assert it), an order of
-    magnitude slower, and the configuration under which the metatheory
-    suite checks per-step preservation.
+    ``faithful`` is the one switch for how the system renders.  The
+    default is the production posture: the backend's machine, a render
+    memo and §5 box reuse.  ``faithful=True`` drives every expression
+    evaluation through the literal small-step machine with neither memo
+    nor reuse — identical observable behaviour (differential tests assert
+    it), an order of magnitude slower, and the configuration under which
+    the metatheory suite checks per-step preservation.
     """
 
     def __init__(
@@ -93,10 +96,7 @@ class System:
         natives=EMPTY_NATIVES,
         services=None,
         faithful=False,
-        reuse_boxes=False,
-        memo_render=False,
         memo_store=None,
-        check_updates=True,
         tracer=None,
         budget=None,
         chaos=None,
@@ -142,51 +142,43 @@ class System:
 
             self.services = ChaosServices(self.services, chaos)
         self.faithful = faithful
-        self.reuse_boxes = reuse_boxes
-        #: Render-function memoization (repro.eval.memo) — only the CEK
-        #: machine supports it.  UPDATE swaps the whole evaluator (and
-        #: with it the per-code-version RenderMemo *view*), but entries
-        #: live in one update-surviving MemoStore (repro.incremental).
-        #: By default the store is private and owned here for the life
-        #: of the system; ``memo_store`` injects a shared one instead —
-        #: typically a :class:`~repro.incremental.store.SessionMemoView`
-        #: over a per-program store (repro.cluster), so sessions running
-        #: the same app warm each other.  Injecting a store implies
-        #: memoization.
-        self.memo_render = (
-            (memo_render or memo_store is not None) and not faithful
-        )
+        #: Render-function memoization (repro.eval.memo).  UPDATE swaps
+        #: the whole evaluator (and with it the per-code-version
+        #: RenderMemo *view*), but entries live in one update-surviving
+        #: MemoStore (repro.incremental).  By default the store is
+        #: private and owned here for the life of the system;
+        #: ``memo_store`` injects a shared one instead — typically a
+        #: :class:`~repro.incremental.store.SessionMemoView` over a
+        #: per-program store (repro.cluster), so sessions running the
+        #: same app warm each other.  A faithful system has no store.
         self.render_memo = None
         self._memo_store = None
-        if self.memo_render:
-            if memo_store is not None:
-                self._memo_store = memo_store
-            else:
+        if not faithful:
+            if memo_store is None:
                 from ..incremental.store import MemoStore
 
-                self._memo_store = MemoStore(tracer=self.tracer)
+                memo_store = MemoStore(tracer=self.tracer)
+            self._memo_store = memo_store
         #: Per-render memo deltas of the most recent RENDER, and of the
         #: first RENDER after the most recent UPDATE (what the edit →
         #: re-render loop actually reused).  Empty dicts until the
-        #: respective transition has fired with memoization on.
+        #: respective transition has fired on a memoized system.
         self.last_render_stats = {}
         self.last_update_render_stats = {}
         self._render_after_update = False
-        #: When True (default), UPDATE enforces its ``C' ⊢ C'`` premise —
-        #: and so does construction, since rule T-SYS types every state.
-        #: A code version the compile pipeline already checked under the
-        #: same native signatures is not checked again.
-        self.check_updates = check_updates
-        if check_updates:
-            problems = _core_problems(code, natives)
-            if problems:
-                raise UpdateRejected(
-                    "the initial program is not well-typed "
-                    "({} problem{})".format(
-                        len(problems), "" if len(problems) == 1 else "s"
-                    ),
-                    problems=problems,
-                )
+        # Rule T-SYS types every state, so construction enforces the
+        # same ``C ⊢ C`` premise UPDATE does.  A code version the compile
+        # pipeline already checked under the same native signatures is
+        # not checked again.
+        problems = _core_problems(code, natives)
+        if problems:
+            raise UpdateRejected(
+                "the initial program is not well-typed "
+                "({} problem{})".format(
+                    len(problems), "" if len(problems) == 1 else "s"
+                ),
+                problems=problems,
+            )
         #: Provenance capture (repro.provenance).  Off by default — the
         #: flag is flipped *post-construction* by the replayer, never on
         #: live sessions, so the semantics' hot path stays unchanged.
@@ -205,7 +197,7 @@ class System:
         #: program code only — they cannot see host Python — so if an
         #: update rebinds a native to a *different* callable, the memo
         #: entries whose producers can reach that native are suspect and
-        #: are dropped (see :meth:`_invalidate_native_entries`).
+        #: are dropped (see :meth:`update`).
         self._native_impls = self._snapshot_native_impls()
 
     def _snapshot_native_impls(self):
@@ -213,19 +205,6 @@ class System:
             name: self.natives.implementation(name)
             for name in self.natives.names()
         }
-
-    def _invalidate_native_entries(self, rebound):
-        """Drop memo entries that may have called a rebound native.
-
-        Stores grown before the ``natives`` stamp (or third-party ones)
-        may not implement the precise hook; those fall back to the old
-        conservative behaviour of clearing everything.
-        """
-        invalidate = getattr(self._memo_store, "invalidate_natives", None)
-        if invalidate is None:
-            self._memo_store.clear()
-        else:
-            invalidate(rebound)
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -236,13 +215,9 @@ class System:
                 tracer=self.tracer,
             )
         else:
-            memo = None
-            if self.memo_render:
-                from ..eval.memo import RenderMemo
+            from ..eval.memo import RenderMemo
 
-                memo = RenderMemo(
-                    code, store=self._memo_store, tracer=self.tracer
-                )
+            memo = RenderMemo(code, store=self._memo_store, tracer=self.tracer)
             self.render_memo = memo
             evaluator = self.backend.compile(
                 code, natives=self.natives, services=self.services,
@@ -483,7 +458,7 @@ class System:
                 fuel=self.budget.fuel,
             )
             self._check_deadline("RENDER", virtual_before)
-            if self.reuse_boxes:
+            if not self.faithful:
                 stats = box_diff.DiffStats()
                 with tracer.span("reuse"):
                     tree = box_diff.reuse(
@@ -546,17 +521,16 @@ class System:
             self.natives = natives
         started = clock()
         with self.tracer.span("update") as span:
-            if self.check_updates:
-                with self.tracer.span("typecheck_update"):
-                    problems = _core_problems(new_code, self.natives)
-                if problems:
-                    raise UpdateRejected(
-                        "the new program is not well-typed "
-                        "({} problem{})".format(
-                            len(problems), "" if len(problems) == 1 else "s"
-                        ),
-                        problems=problems,
-                    )
+            with self.tracer.span("typecheck_update"):
+                problems = _core_problems(new_code, self.natives)
+            if problems:
+                raise UpdateRejected(
+                    "the new program is not well-typed "
+                    "({} problem{})".format(
+                        len(problems), "" if len(problems) == 1 else "s"
+                    ),
+                    problems=problems,
+                )
             versions_before = (
                 self.state.store.versions_snapshot()
                 if self.capture_provenance else None
@@ -598,7 +572,7 @@ class System:
                 if rebound:
                     # Digests cannot see host Python, so entries touched
                     # by a rebound native are stale under unchanged keys.
-                    self._invalidate_native_entries(rebound)
+                    self._memo_store.invalidate_natives(rebound)
                 self._native_impls = impls
                 self.tracer.add(
                     "incremental.entries_carried", len(self._memo_store)

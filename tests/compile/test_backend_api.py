@@ -1,6 +1,5 @@
 """The pluggable evaluator API: resolution, threading, and lifecycles."""
 
-import warnings
 
 import pytest
 
@@ -125,22 +124,12 @@ class TestApiThreading:
         from repro.api import SessionHost
 
         host = SessionHost(
-            pool_size=2, default_source=COUNTER, backend="compiled"
+            pool_size=2, default_source=COUNTER,
+            session_kwargs={"backend": "compiled"},
         )
         token = host.create()
         session = host._entries[token].session
         assert session.runtime.system.backend_name == "compiled"
-
-    def test_session_kwargs_backend_wins_over_the_convenience_kwarg(self):
-        from repro.api import SessionHost
-
-        host = SessionHost(
-            pool_size=2, default_source=COUNTER, backend="compiled",
-            session_kwargs={"backend": "tree"},
-        )
-        token = host.create()
-        session = host._entries[token].session
-        assert session.runtime.system.backend_name == "tree"
 
 
 class TestEvalFacade:
@@ -151,18 +140,12 @@ class TestEvalFacade:
         assert eval_pkg.EvalBackend is EvalBackend
         assert eval_pkg.BACKENDS is BACKENDS
 
-    def test_make_evaluator_warns_but_works(self):
+    def test_make_evaluator_is_gone(self):
         import repro.eval as eval_pkg
 
-        code = compile_source(COUNTER).code
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            make_evaluator = eval_pkg.make_evaluator
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        evaluator = make_evaluator(code)
-        assert evaluator is not None
+        with pytest.raises(AttributeError):
+            eval_pkg.make_evaluator
+        assert "make_evaluator" not in eval_pkg.__all__
 
     def test_unknown_attribute_still_raises(self):
         import repro.eval as eval_pkg

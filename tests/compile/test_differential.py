@@ -74,10 +74,11 @@ class TestRenderParity:
     @given(session=editing_sessions())
     def test_compiled_with_memo_matches_plain_tree(self, session):
         # Memoization and compilation compose: the compiled machine's
-        # memo interception must stay unobservable too.
+        # memo interception must stay unobservable against the faithful
+        # tree oracle, which neither memoizes nor reuses boxes.
         code, edits = session
-        tree = System(code, backend="tree", memo_render=False)
-        compiled = System(code, backend="compiled", memo_render=True)
+        tree = System(code, faithful=True)
+        compiled = System(code, backend="compiled")
         tree.run_to_stable()
         compiled.run_to_stable()
         assert_same_observables(tree, compiled)

@@ -72,7 +72,7 @@ def make_host(backend=None, journal=None):
         default_source=COUNTER,
         tracer=Tracer(),
         journal=journal,
-        backend=backend,
+        session_kwargs={"backend": backend},
     )
 
 
@@ -100,7 +100,7 @@ class TestJournalRecovery:
     def test_eviction_rehydration_keeps_the_backend(self, tmp_path):
         host = SessionHost(
             pool_size=1, default_source=COUNTER, tracer=Tracer(),
-            backend="compiled",
+            session_kwargs={"backend": "compiled"},
         )
         first = host.create()
         host.tap(first, path=[0])

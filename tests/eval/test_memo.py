@@ -1,7 +1,8 @@
 """Render-function memoization (§5's self-adjusting-computation sketch).
 
-The contract: with ``memo_render=True`` every observable display is
-structurally identical to the unmemoized run, repeated calls with the
+The contract: every observable display of a memoized (non-faithful)
+run is structurally identical to the ``faithful=True`` oracle, which
+never memoizes; repeated calls with the
 same argument and read-set values are elided, and every way the output
 could change (argument, read global — direct or through a callee, code
 update) invalidates.
@@ -43,10 +44,10 @@ page start()
 
 def runtimes():
     compiled = compile_source(APP)
-    plain = Runtime(compiled.code, natives=compiled.natives).start()
-    memo = Runtime(
-        compiled.code, natives=compiled.natives, memo_render=True
+    plain = Runtime(
+        compiled.code, natives=compiled.natives, faithful=True
     ).start()
+    memo = Runtime(compiled.code, natives=compiled.natives).start()
     return plain, memo
 
 
@@ -83,11 +84,11 @@ class TestEquivalence:
         compiled = compile_mortgage()
         plain = Runtime(
             compiled.code, natives=compiled.natives,
-            services=make_services(),
+            services=make_services(), faithful=True,
         ).start()
         memo = Runtime(
             compiled.code, natives=compiled.natives,
-            services=make_services(), memo_render=True,
+            services=make_services(),
         ).start()
         listing = plain.global_value("listings").items[0]
         label = "{}, {}".format(
@@ -139,9 +140,14 @@ class TestCacheBehaviour:
             assert boxes_created_by(memo.display, box_id)
 
     def test_faithful_machine_ignores_memo_flag(self):
+        # Even an injected store does not make the oracle memoize.
+        from repro.incremental.store import MemoStore
+
         compiled = compile_source(APP)
+        store = MemoStore()
         runtime = Runtime(
             compiled.code, natives=compiled.natives,
-            faithful=True, memo_render=True,
+            faithful=True, memo_store=store,
         ).start()
         assert runtime.system.render_memo is None
+        assert len(store) == 0

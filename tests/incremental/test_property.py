@@ -2,8 +2,8 @@
 
 For random well-formed programs (helpers carrying the render effect, so
 the memo actually engages) and random well-typed edit sequences, a
-memoized system and an unmemoized system must produce **byte-identical
-HTML** after every update.
+memoized system and the ``faithful=True`` oracle (no memo, no box reuse)
+must produce **byte-identical HTML** after every update.
 
 The historical caveat: box *occurrence numbers* (the k-th on-screen
 occurrence of source box ``box_id``, emitted as ``data-occurrence`` and
@@ -50,8 +50,8 @@ class TestMemoizationIsUnobservable:
     @given(session=editing_sessions())
     def test_byte_identical_html_through_edit_sequences(self, session):
         code, edits = session
-        memoized = System(code, memo_render=True)
-        plain = System(code, memo_render=False)
+        memoized = System(code)
+        plain = System(code, faithful=True)
         memoized.run_to_stable()
         plain.run_to_stable()
         assert html_of(memoized) == html_of(plain)
@@ -68,7 +68,7 @@ class TestMemoizationIsUnobservable:
         # Same program, second render: everything that can hit, hits —
         # and the document must not move a byte (occurrence numbers
         # included).
-        memoized = System(code, memo_render=True)
+        memoized = System(code)
         memoized.run_to_stable()
         first = html_of(memoized)
         memoized._invalidate()

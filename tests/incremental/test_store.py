@@ -75,9 +75,7 @@ class TestSystemCapPlumbs:
         from repro.apps.gallery import function_gallery_source
         from repro.api import LiveSession
 
-        session = LiveSession(
-            function_gallery_source(rows=6, cols=2), memo_render=True
-        )
+        session = LiveSession(function_gallery_source(rows=6, cols=2))
         store = session.runtime.system._memo_store
         assert len(store) <= store.stats()["max_entries"]
         assert len(store) > 0

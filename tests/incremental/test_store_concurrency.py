@@ -129,7 +129,6 @@ class TestSharedAcrossSessions:
             default_source=function_gallery_source(rows=4, cols=3),
             tracer=Tracer(),
             memo_store=MemoStore(),
-            session_kwargs={"reuse_boxes": True, "memo_render": True},
         )
 
     def test_second_session_rides_the_firsts_renders(self):

@@ -24,7 +24,6 @@ ROWS, COLS = 4, 3
 
 
 def gallery_session(**kwargs):
-    kwargs.setdefault("memo_render", True)
     return LiveSession(function_gallery_source(rows=ROWS, cols=COLS), **kwargs)
 
 
@@ -46,14 +45,14 @@ class TestEntriesSurviveUpdate:
 
     def test_memoized_update_html_matches_unmemoized(self):
         memoized = gallery_session()
-        plain = gallery_session(memo_render=False)
+        plain = gallery_session(faithful=True)
         for edit in (('"gallery"', '"one"'), ('"one"', '"two"')):
             assert memoized.replace_text(*edit).applied
             assert plain.replace_text(*edit).applied
             assert render_html(memoized.display) == render_html(plain.display)
 
     def test_unmemoized_session_reports_zero(self):
-        session = gallery_session(memo_render=False)
+        session = gallery_session(faithful=True)
         result = session.replace_text('"gallery"', '"edited"')
         assert result.applied
         assert result.memo_hits == result.memo_misses == 0
@@ -192,9 +191,7 @@ class TestNativeIdentity:
                 RENDER,
             ),
         )
-        system = System(
-            Code([view, plain, page]), natives=natives, memo_render=True
-        )
+        system = System(Code([view, plain, page]), natives=natives)
         system.run_to_stable()
         return system
 
@@ -247,16 +244,14 @@ class TestMetricCatalog:
 
 
 class TestServeShortCircuit:
-    def make_host(self, **session_kwargs):
+    def make_host(self):
         from repro.serve.host import SessionHost
 
-        session_kwargs.setdefault("memo_render", True)
         tracer = Tracer()
         host = SessionHost(
             pool_size=4,
             default_source=function_gallery_source(rows=ROWS, cols=COLS),
             tracer=tracer,
-            session_kwargs=session_kwargs,
         )
         return host, tracer
 

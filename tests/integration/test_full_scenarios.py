@@ -19,21 +19,19 @@ from repro.system.runtime import Runtime
 
 class TestReuseOptimizationEndToEnd:
     def test_observable_display_identical(self):
-        """reuse_boxes=True never changes what the user sees."""
+        """Box reuse never changes what the user sees."""
         compiled = compile_source(gallery_source(rows=4, cols=3))
-        plain = Runtime(compiled.code, natives=compiled.natives).start()
-        reusing = Runtime(
-            compiled.code, natives=compiled.natives, reuse_boxes=True
+        plain = Runtime(
+            compiled.code, natives=compiled.natives, faithful=True
         ).start()
+        reusing = Runtime(compiled.code, natives=compiled.natives).start()
         for runtime in (plain, reusing):
             runtime.tap_text("[2.2]")
         assert tree_equal(plain.display, reusing.display)
 
     def test_subtrees_shared_across_renders(self):
         compiled = compile_source(gallery_source(rows=4, cols=3))
-        runtime = Runtime(
-            compiled.code, natives=compiled.natives, reuse_boxes=True
-        ).start()
+        runtime = Runtime(compiled.code, natives=compiled.natives).start()
         before = runtime.display
         runtime.tap_text("[3.1]")
         after = runtime.display
@@ -46,9 +44,7 @@ class TestReuseOptimizationEndToEnd:
 
     def test_layout_cache_benefits(self):
         compiled = compile_source(gallery_source(rows=6, cols=4))
-        runtime = Runtime(
-            compiled.code, natives=compiled.natives, reuse_boxes=True
-        ).start()
+        runtime = Runtime(compiled.code, natives=compiled.natives).start()
         engine = LayoutEngine()
         engine.layout(runtime.display)
         cold_misses = engine.cache_misses

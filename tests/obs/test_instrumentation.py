@@ -125,7 +125,7 @@ class TestCounters:
         assert metrics["events_queued"] >= 2
 
     def test_reuse_counter(self):
-        rt, tracer = traced_runtime(reuse_boxes=True)
+        rt, tracer = traced_runtime()
         baseline = rt.metrics()["reuse_shared_subtrees"]
         rt.tap_text("count 0")
         # The tapped counter box changes but the root is shared subtree
@@ -133,7 +133,7 @@ class TestCounters:
         assert rt.metrics()["reuse_shared_subtrees"] >= baseline
 
     def test_memo_hits_and_misses(self):
-        rt, tracer = traced_runtime(MEMO_APP, memo_render=True)
+        rt, tracer = traced_runtime(MEMO_APP)
         after_start = rt.metrics()["memo_misses"]
         assert after_start > 0          # first render populates the memo
         rt.tap_text("clicks 0")

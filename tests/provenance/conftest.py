@@ -2,9 +2,9 @@
 
 Every test here records a session through a journaled
 :class:`~repro.serve.host.SessionHost` and then queries the journal —
-the same record/replay split the server runs in production.  The
-session kwargs used for recording are reused for replay: determinism
-requires rebuilding the session the way it was built.
+the same record/replay split the server runs in production.  Recording
+and replay both use the default session posture, so replay rebuilds
+each session the way it was built.
 """
 
 import json
@@ -26,10 +26,6 @@ TWO_GLOBALS = (
     "      on tap do\n        b := b + 1\n"
 )
 
-SESSION_KWARGS = {"reuse_boxes": True, "memo_render": True}
-
-REPLAY_OPTIONS = {"session_kwargs": SESSION_KWARGS}
-
 
 @pytest.fixture
 def journal_dir(tmp_path):
@@ -40,7 +36,6 @@ def journaled_host(journal_dir, source, checkpoint_every=50):
     journal = Journal(journal_dir, checkpoint_every=checkpoint_every)
     host = SessionHost(
         default_source=source,
-        session_kwargs=dict(SESSION_KWARGS),
         journal=journal,
     )
     return host, journal

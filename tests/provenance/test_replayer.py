@@ -7,7 +7,7 @@ from repro.api import Journal, Tracer
 from repro.core.errors import ReproError
 from repro.provenance import replay_session, replay_to
 
-from .conftest import REPLAY_OPTIONS, event_seqs, journaled_host
+from .conftest import event_seqs, journaled_host
 
 CRASHY = (
     "global d : number = 1\n"
@@ -24,9 +24,7 @@ class TestReplay:
             host.tap(token, path=[0])
         live_html = host.render(token)[0]
 
-        result = replay_session(
-            Journal(journal_dir), use_checkpoint=False, **REPLAY_OPTIONS
-        )
+        result = replay_session(Journal(journal_dir), use_checkpoint=False)
         assert result.token == token
         assert result.checkpoint_seq is None
         assert result.events_replayed == 5
@@ -40,7 +38,7 @@ class TestReplay:
             host.tap(token, path=[0])
         live_html = host.render(token)[0]
 
-        result = replay_session(Journal(journal_dir), **REPLAY_OPTIONS)
+        result = replay_session(Journal(journal_dir))
         assert result.checkpoint_seq is not None
         assert result.events_replayed <= 2
         assert result.session.html(title=token) == live_html
@@ -61,9 +59,7 @@ class TestReplay:
         create_seq = next(journal.read())["seq"]
         checkpoints_used = 0
         for generation, target in enumerate([create_seq] + seqs):
-            result = replay_to(
-                journal, token, seq=target, **REPLAY_OPTIONS
-            )
+            result = replay_to(journal, token, seq=target)
             assert result.session.html(title=token) == live[generation], (
                 "generation {} (seq {}) diverged".format(generation, target)
             )
@@ -78,7 +74,7 @@ class TestReplay:
         token = host.create()
         host.tap(token, path=[0])
 
-        result = replay_session(Journal(journal_dir), **REPLAY_OPTIONS)
+        result = replay_session(Journal(journal_dir))
         # Time travel hands back a working present: fork the past.
         result.session.tap((0,))
         assert "count: 2" in result.session.screenshot()
@@ -101,7 +97,7 @@ class TestReplay:
         for _ in range(3):
             host.tap(token, path=[0])
         tracer = Tracer()
-        replay_session(Journal(journal_dir), tracer=tracer, **REPLAY_OPTIONS)
+        replay_session(Journal(journal_dir), tracer=tracer)
         metrics = tracer.metrics()
         assert metrics["replay.sessions"] == 1
         assert metrics["replay.checkpoints_used"] == 1
@@ -126,14 +122,10 @@ class TestResolveToken:
         first = host.create()
         second = host.create()
         host.tap(second, path=[0])
-        result = replay_session(
-            Journal(journal_dir), second, **REPLAY_OPTIONS
-        )
+        result = replay_session(Journal(journal_dir), second)
         assert result.events_replayed == 1
         assert "count: 1" in result.session.screenshot()
-        assert replay_session(
-            Journal(journal_dir), first, **REPLAY_OPTIONS
-        ).events_replayed == 0
+        assert replay_session(Journal(journal_dir), first).events_replayed == 0
 
 
 class TestProvenanceCapture:
@@ -143,9 +135,7 @@ class TestProvenanceCapture:
         host.tap(token, path=[0])
         host.tap(token, path=[0])
 
-        result = replay_session(
-            Journal(journal_dir), capture_provenance=True, **REPLAY_OPTIONS
-        )
+        result = replay_session(Journal(journal_dir), capture_provenance=True)
         # Capture forces a cold start: attribution needs the whole tape.
         assert result.checkpoint_seq is None
         assert len(result.provenance) == 2
@@ -160,6 +150,6 @@ class TestProvenanceCapture:
         host, _ = journaled_host(journal_dir, COUNTER)
         token = host.create()
         host.tap(token, path=[0])
-        result = replay_session(Journal(journal_dir), **REPLAY_OPTIONS)
+        result = replay_session(Journal(journal_dir))
         assert result.provenance == {}
         assert result.session.runtime.system.provenance_log == []

@@ -7,7 +7,7 @@ from repro.api import Journal
 from repro.core.errors import ReproError
 from repro.provenance import TimeMachine
 
-from .conftest import SESSION_KWARGS, journaled_host
+from .conftest import journaled_host
 
 
 @pytest.fixture
@@ -16,9 +16,7 @@ def machine(journal_dir):
     token = host.create()
     for _ in range(6):
         host.tap(token, path=[0])
-    return TimeMachine(
-        Journal(journal_dir), session_kwargs=dict(SESSION_KWARGS)
-    )
+    return TimeMachine(Journal(journal_dir))
 
 
 class TestTimeMachine:
@@ -74,9 +72,8 @@ class TestTimeMachine:
         machine.session.tap((1,))          # reset — in the fork only
         assert "count: 0" in machine.screenshot()
         # The journal is untouched: the real end still shows count 6.
-        assert "count: 6" in TimeMachine(
-            Journal(journal_dir), session_kwargs=dict(SESSION_KWARGS)
-        ).end().screenshot()
+        end = TimeMachine(Journal(journal_dir)).end()
+        assert "count: 6" in end.screenshot()
 
     def test_session_requires_a_cursor_move(self, machine):
         with pytest.raises(ReproError, match="cursor"):

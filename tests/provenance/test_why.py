@@ -10,7 +10,6 @@ from repro.provenance import boxed_read_set, replay_session, why
 from repro.provenance.divergence import _box_fragments
 
 from .conftest import (
-    REPLAY_OPTIONS,
     TWO_GLOBALS,
     event_seqs,
     journaled_host,
@@ -29,7 +28,7 @@ def recorded_two_globals(journal_dir):
 
 def box_fragment(journal_dir, report):
     """The queried box's rendered HTML fragment after a fresh replay."""
-    result = replay_session(Journal(journal_dir), **REPLAY_OPTIONS)
+    result = replay_session(Journal(journal_dir))
     return _box_fragments(result.session.display)[
         (report.box_id, report.occurrence)
     ]
@@ -38,7 +37,7 @@ def box_fragment(journal_dir, report):
 class TestWhy:
     def test_why_names_span_slots_and_events(self, journal_dir):
         token = recorded_two_globals(journal_dir)
-        report = why(Journal(journal_dir), text="a: 3", **REPLAY_OPTIONS)
+        report = why(Journal(journal_dir), text="a: 3")
         assert report.token == token
         assert report.path == (0,)
         assert report.owner == "page start (render)"
@@ -57,8 +56,8 @@ class TestWhy:
 
     def test_why_by_path_matches_why_by_text(self, journal_dir):
         recorded_two_globals(journal_dir)
-        by_path = why(Journal(journal_dir), path=(1,), **REPLAY_OPTIONS)
-        by_text = why(Journal(journal_dir), text="b: 2", **REPLAY_OPTIONS)
+        by_path = why(Journal(journal_dir), path=(1,))
+        by_text = why(Journal(journal_dir), text="b: 2")
         # Write versions are process-global ticks, so two replays give
         # different absolute numbers — everything else must agree.
         assert by_path.reads == by_text.reads == ("b",)
@@ -74,7 +73,7 @@ class TestWhy:
         # The round trip, forward half: tamper with an event the report
         # *named* and the box must render differently on replay.
         recorded_two_globals(journal_dir)
-        report = why(Journal(journal_dir), text="a: 3", **REPLAY_OPTIONS)
+        report = why(Journal(journal_dir), text="a: 3")
         before = box_fragment(journal_dir, report)
         mutate_event(journal_dir, report.events[0].seq, {"path": [1]})
         after = box_fragment(journal_dir, report)
@@ -88,7 +87,7 @@ class TestWhy:
         # name and the box's bytes must not move (even though the
         # display as a whole changes).
         token = recorded_two_globals(journal_dir)
-        report = why(Journal(journal_dir), text="a: 3", **REPLAY_OPTIONS)
+        report = why(Journal(journal_dir), text="a: 3")
         named = {link.seq for link in report.events}
         unrelated = [
             seq for seq in event_seqs(journal_dir, token)
@@ -96,12 +95,12 @@ class TestWhy:
         ]
         before = box_fragment(journal_dir, report)
         whole_before = replay_session(
-            Journal(journal_dir), **REPLAY_OPTIONS
+            Journal(journal_dir)
         ).session.html(title=token)
         mutate_event(journal_dir, unrelated[0], {"path": [9]})  # no-op tap
         after = box_fragment(journal_dir, report)
         whole_after = replay_session(
-            Journal(journal_dir), **REPLAY_OPTIONS
+            Journal(journal_dir)
         ).session.html(title=token)
         assert after == before                  # the queried box: identical
         assert whole_after != whole_before      # the b box did change
@@ -115,7 +114,7 @@ class TestWhy:
         host.tap(token, path=[0])
         host.tap(token, path=[1])   # reset
         host.tap(token, path=[0])
-        report = why(Journal(journal_dir), text="count: 1", **REPLAY_OPTIONS)
+        report = why(Journal(journal_dir), text="count: 1")
         assert [link.seq for link in report.events] == event_seqs(
             journal_dir, token
         )
@@ -123,7 +122,7 @@ class TestWhy:
     def test_constant_box_reads_nothing(self, journal_dir):
         recorded_two_globals(journal_dir)
         host_journal = Journal(journal_dir)
-        session = replay_session(host_journal, **REPLAY_OPTIONS).session
+        session = replay_session(host_journal).session
         code = session.runtime.system.code
         # The read-set helper itself: the a box depends only on a.
         box_id = session.select_box((0,)).box_id
@@ -132,10 +131,7 @@ class TestWhy:
     def test_metrics_are_counted(self, journal_dir):
         recorded_two_globals(journal_dir)
         tracer = Tracer()
-        report = why(
-            Journal(journal_dir), text="a: 3", tracer=tracer,
-            **REPLAY_OPTIONS
-        )
+        report = why(Journal(journal_dir), text="a: 3", tracer=tracer)
         metrics = tracer.metrics()
         assert metrics["provenance.queries"] == 1
         assert metrics["provenance.events_linked"] == len(report.events)
@@ -143,9 +139,9 @@ class TestWhy:
     def test_needs_a_path_or_a_text(self, journal_dir):
         recorded_two_globals(journal_dir)
         with pytest.raises(ReproError, match="path or a box text"):
-            why(Journal(journal_dir), **REPLAY_OPTIONS)
+            why(Journal(journal_dir))
 
     def test_unknown_text_refused(self, journal_dir):
         recorded_two_globals(journal_dir)
         with pytest.raises(ReproError):
-            why(Journal(journal_dir), text="no such box", **REPLAY_OPTIONS)
+            why(Journal(journal_dir), text="no such box")

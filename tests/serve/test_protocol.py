@@ -217,10 +217,7 @@ class TestWireCodec:
         from repro.apps.gallery import function_gallery_source
 
         source = function_gallery_source(rows=2, cols=2)
-        host = make_host(
-            default_source=source,
-            session_kwargs={"memo_render": True},
-        )
+        host = make_host(default_source=source)
         token = call(host, op="create")["token"]
         response = call(
             host, op="edit_source", token=token,

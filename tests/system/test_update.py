@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import counter_core_code, page_code, render_lam, seq, state_lam
+from helpers import counter_core_code, page_code, seq
 from repro.boxes.tree import STALE
 from repro.core import ast
 from repro.core.defs import Code, GlobalDef, PageDef
@@ -168,12 +168,3 @@ class TestSemantics:
         system.update(code)
         system.run_to_stable()
         assert system.state.store.lookup("boots") == ast.Num(1)
-
-    def test_update_can_be_disabled_for_experiments(self):
-        system = System(counter_core_code(), check_updates=False)
-        system.run_to_stable()
-        system.update(Code([PageDef(
-            "start", UNIT,
-            state_lam(ast.UNIT_VALUE), render_lam(ast.UNIT_VALUE),
-        )]))
-        system.run_to_stable()  # blank but alive

@@ -43,15 +43,14 @@ class TestFacadeSurface:
             assert getattr(repro, name) is getattr(repro.api, name)
 
     def test_facade_classes_are_the_real_types(self):
-        # isinstance/except clauses written against the deep classes
-        # keep working: the facade subclasses them.
+        # The facade re-exports the defining classes; it declares none.
         import importlib
 
         for name in FACADE_NAMES:
             deep = getattr(
                 importlib.import_module(DEFINING_MODULES[name]), name
             )
-            assert issubclass(getattr(repro.api, name), deep)
+            assert getattr(repro.api, name) is deep
 
     def test_constructors_are_keyword_only(self):
         for name in FACADE_NAMES:
@@ -79,8 +78,19 @@ class TestFacadeSurface:
             repro.api.SessionHost(16)
 
     def test_facade_session_works(self):
-        session = repro.api.LiveSession(COUNTER, memo_render=True)
+        session = repro.api.LiveSession(COUNTER)
         assert "count" in session.screenshot()
+
+    @pytest.mark.parametrize("name, args, knob", [
+        ("LiveSession", (COUNTER,), "reuse_boxes"),
+        ("LiveSession", (COUNTER,), "memo_render"),
+        ("Runtime", (None,), "reuse_boxes"),
+        ("Runtime", (None,), "memo_render"),
+        ("SessionHost", (), "backend"),
+    ])
+    def test_deleted_knobs_are_rejected(self, name, args, knob):
+        with pytest.raises(TypeError):
+            getattr(repro.api, name)(*args, **{knob: True})
 
 
 class TestDeprecationShims:

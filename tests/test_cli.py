@@ -373,12 +373,54 @@ class TestServeCLI:
                 process.wait()
 
 
+class _Captured(Exception):
+    pass
+
+
+def _capture(**kwargs):
+    raise _Captured(kwargs)
+
+
+class TestServePosture:
+    """``serve``, each cluster worker and ``replay`` build sessions the
+    same way, so a replay rebuilds what the server ran."""
+
+    def test_serve_worker_and_replay_share_one_posture(
+        self, counter_file, monkeypatch
+    ):
+        import argparse
+
+        import repro.cluster.worker as worker
+        import repro.serve.host as host
+        from repro.cli import _replay_options
+        from repro.serve.host import SERVE_POSTURE
+
+        monkeypatch.setattr(host, "SessionHost", _capture)
+        with pytest.raises(_Captured) as served:
+            run_cli("serve", counter_file, "--port", "0")
+        monkeypatch.setattr(worker, "SessionHost", _capture)
+        with pytest.raises(_Captured) as hosted:
+            worker.Worker({"slot": 0, "source": COUNTER})
+        replayed = _replay_options(argparse.Namespace(latency=None))
+
+        serve_kwargs = served.value.args[0]["session_kwargs"]
+        worker_kwargs = hosted.value.args[0]["session_kwargs"]
+        posture = dict(SERVE_POSTURE)
+        assert replayed["session_kwargs"] == posture
+        for kwargs, deployment in (
+            (serve_kwargs, {"budget", "backend"}),
+            (worker_kwargs, {"budget"}),
+        ):
+            assert set(kwargs) == set(posture) | deployment
+            assert {key: kwargs[key] for key in posture} == posture
+
+
 @pytest.fixture
 def counter_journal(tmp_path):
     """A journaled counter session recorded the way ``repro serve``
     records one — the CLI's replay options must reconstruct it."""
     from repro.api import Journal
-    from repro.serve.host import SessionHost
+    from repro.serve.host import SERVE_POSTURE, SessionHost
     from repro.stdlib.web import make_services, web_host_impls
 
     journal_dir = str(tmp_path / "journal")
@@ -386,10 +428,7 @@ def counter_journal(tmp_path):
         default_source=COUNTER,
         make_host_impls=web_host_impls,
         make_services=make_services,
-        session_kwargs={
-            "reuse_boxes": True, "memo_render": True,
-            "fault_policy": "record", "supervised": True,
-        },
+        session_kwargs=dict(SERVE_POSTURE),
         journal=Journal(journal_dir, checkpoint_every=3),
     )
     token = host.create()
