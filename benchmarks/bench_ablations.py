@@ -20,7 +20,7 @@ from repro.core.effects import PURE
 from repro.core.types import NUMBER, fun
 from repro.eval.machine import BigStep, SmallStep
 from repro.stdlib.web import make_services
-from repro.surface.compile import compile_source
+from repro.surface.compile import compile_fresh, compile_source
 from repro.system.runtime import Runtime
 from repro.system.state import Store
 from repro.typing.program import code_problems
@@ -28,7 +28,7 @@ from repro.typing.program import code_problems
 
 def test_compile_cost(benchmark):
     """The whole pipeline, its one core check included."""
-    benchmark(lambda: compile_source(BASE_SOURCE, host_impls()))
+    benchmark(lambda: compile_fresh(BASE_SOURCE, host_impls()))
 
 
 def test_core_check_cost(benchmark):
@@ -82,7 +82,8 @@ def test_update_cost(benchmark):
     """A whole UPDATE (premise, fix-up, re-render) of unseen code."""
     compiled = compile_mortgage()
     runtime = Runtime(
-        compiled.code, natives=compiled.natives, services=make_services()
+        compiled.code, natives=compiled.natives, services=make_services(),
+        backend="tree",
     ).start()
 
     def update():

@@ -174,6 +174,7 @@ def run_mode(mode, sessions=32, rows=12, cols=6, drivers=4):
             make_host_impls=web_host_impls,
             make_services=make_services,
             tracer=Tracer(),
+            session_kwargs={"backend": "tree"},
         )
         raw = _serve_and_drive(host, sessions, drivers)
         metrics = raw["stats"].get("metrics", {})
@@ -183,6 +184,7 @@ def run_mode(mode, sessions=32, rows=12, cols=6, drivers=4):
         supervisor = ClusterSupervisor(
             source=source, workers=workers, tracer=Tracer(),
             pool_size=max(16, sessions + 1),
+            session_kwargs={"backend": "tree"},
         ).start()
         try:
             raw = _serve_and_drive(

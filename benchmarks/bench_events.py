@@ -24,7 +24,8 @@ from repro.system.runtime import Runtime
 def _counter(faithful=False):
     compiled = compile_counter()
     return Runtime(
-        compiled.code, natives=compiled.natives, faithful=faithful
+        compiled.code, natives=compiled.natives, faithful=faithful,
+        backend="tree",
     ).start()
 
 
@@ -53,7 +54,8 @@ def test_tap_mortgage_detail(benchmark):
     """Tap on a 30-row page: re-render dominates."""
     compiled = compile_mortgage()
     runtime = Runtime(
-        compiled.code, natives=compiled.natives, services=make_services()
+        compiled.code, natives=compiled.natives, services=make_services(),
+        backend="tree",
     ).start()
     address, city, _price = generate_listings(8)[0]
     runtime.tap_text("{}, {}".format(address, city))
@@ -74,7 +76,8 @@ def test_tap_mortgage_detail(benchmark):
 def test_back_and_forth_navigation(benchmark):
     compiled = compile_mortgage()
     runtime = Runtime(
-        compiled.code, natives=compiled.natives, services=make_services()
+        compiled.code, natives=compiled.natives, services=make_services(),
+        backend="tree",
     ).start()
     address, city, _price = generate_listings(8)[0]
     label = "{}, {}".format(address, city)

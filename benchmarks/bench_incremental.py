@@ -104,7 +104,8 @@ def _measure(make_variants, rounds):
         code, natives, services = variants[0]
         store = MemoStore()
         system = System(
-            code, natives=natives, services=services, memo_store=store
+            code, natives=natives, services=services, memo_store=store,
+            backend="tree",
         )
         system.run_to_stable()
         sides[side] = (variants, store, system, [])

@@ -44,7 +44,9 @@ page start()
 
 def _runtime(rows):
     compiled = compile_source(APP_TEMPLATE.format(rows=rows))
-    return Runtime(compiled.code, natives=compiled.natives).start()
+    return Runtime(
+        compiled.code, natives=compiled.natives, backend="tree"
+    ).start()
 
 
 def _bench(benchmark, runtime, tap, warm):

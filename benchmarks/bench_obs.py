@@ -72,7 +72,8 @@ def _tap_loop(tracer, rounds, warmup=5):
     """p50/p95 wall seconds of one tap→event→render round trip."""
     compiled = compile_source(COUNTER)
     runtime = Runtime(
-        compiled.code, natives=compiled.natives, tracer=tracer
+        compiled.code, natives=compiled.natives, tracer=tracer,
+        backend="tree",
     ).start()
     taps = 0
     for _ in range(warmup):

@@ -19,7 +19,9 @@ COLS = 4
 
 def _started_runtime(rows):
     compiled = compile_gallery(rows=rows, cols=COLS)
-    return Runtime(compiled.code, natives=compiled.natives).start()
+    return Runtime(
+        compiled.code, natives=compiled.natives, backend="tree"
+    ).start()
 
 
 @pytest.mark.parametrize("rows", ROW_COUNTS, ids=lambda r: "rows={}".format(r))

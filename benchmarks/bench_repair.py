@@ -63,7 +63,9 @@ TAP_BROKEN = COUNTER.replace(
     "count := count / (count - count)",
 )
 
-SESSION_KWARGS = {"fault_policy": "record", "supervised": True}
+SESSION_KWARGS = {
+    "fault_policy": "record", "supervised": True, "backend": "tree",
+}
 
 BUDGET = RepairBudget(max_candidates=12, window=20, parallelism=4)
 

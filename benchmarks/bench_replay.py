@@ -82,6 +82,7 @@ def _record_journal(directory, events, checkpoint_every):
         make_host_impls=web_host_impls,
         make_services=make_services,
         journal=journal,
+        session_kwargs={"backend": "tree"},
     )
     token = host.create()
     for step in range(events):
@@ -103,6 +104,7 @@ def _measure(directory, token, use_checkpoint, rounds):
             use_checkpoint=use_checkpoint,
             make_host_impls=web_host_impls,
             make_services=make_services,
+            session_kwargs={"backend": "tree"},
         )
         timings.append(time.perf_counter() - started)
         events = result.events_replayed

@@ -36,7 +36,7 @@ from repro.serve.host import SessionHost
 
 RESILIENCE_PATH = Path(__file__).parent.parent / "BENCH_resilience.json"
 
-SESSION_KWARGS = {"fault_policy": "record"}
+SESSION_KWARGS = {"fault_policy": "record", "backend": "tree"}
 
 
 # The one shared nearest-rank implementation (repro.obs.histo) —

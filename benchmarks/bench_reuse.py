@@ -23,7 +23,9 @@ SIZES = ((16, 4), (64, 4))
 
 def _runtime(rows, cols):
     compiled = compile_gallery(rows=rows, cols=cols)
-    return Runtime(compiled.code, natives=compiled.natives).start()
+    return Runtime(
+        compiled.code, natives=compiled.natives, backend="tree"
+    ).start()
 
 
 def _one_change_displays(rows, cols):

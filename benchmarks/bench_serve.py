@@ -83,6 +83,7 @@ def run_soak(sessions=200, pool=16, workers=8, ops_per_worker=250,
     """
     host = SessionHost(
         pool_size=pool, default_source=COUNTER, tracer=Tracer(),
+        session_kwargs={"backend": "tree"},
     )
     tokens = [host.create(title="soak") for _ in range(sessions)]
     shards = [[] for _ in range(workers)]

@@ -18,7 +18,7 @@ import pytest
 from repro.apps.counter import SOURCE as COUNTER
 from repro.apps.mortgage import BASE_SOURCE as MORTGAGE
 from repro.apps.shopping import SOURCE as SHOPPING
-from repro.surface.compile import compile_source
+from repro.surface.compile import compile_fresh
 from repro.surface.parser import parse
 from repro.surface.typecheck import typecheck
 
@@ -41,7 +41,7 @@ def _host_impls(marker):
 def test_full_compile_pipeline(benchmark, app):
     source, marker = APPS[app]
     impls = _host_impls(marker)
-    compiled = benchmark(lambda: compile_source(source, impls))
+    compiled = benchmark(lambda: compile_fresh(source, impls))
     benchmark.extra_info["source_lines"] = source.count("\n")
     assert compiled.code.page("start") is not None
 
@@ -69,7 +69,7 @@ def test_compile_scales_with_program_size(benchmark, pages):
             "        post helper{i}(i)".format(i=index),
         ]
     source = "\n".join(parts) + "\n"
-    benchmark(lambda: compile_source(source))
+    benchmark(lambda: compile_fresh(source))
     benchmark.extra_info["source_lines"] = source.count("\n")
 
 

@@ -71,7 +71,8 @@ def test_full_update_and_rerender_mortgage(benchmark, obs_records):
     base = compile_mortgage()
     edited = compile_mortgage(apply_i2(BASE_SOURCE))
     runtime = Runtime(
-        base.code, natives=base.natives, services=make_services()
+        base.code, natives=base.natives, services=make_services(),
+        backend="tree",
     ).start()
     versions = [(edited.code, edited.natives), (base.code, base.natives)]
 

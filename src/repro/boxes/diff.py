@@ -15,7 +15,9 @@ the layout engine keeps a per-object layout cache — then skip all work for
 reused subtrees, which is exactly the saving a retained-mode toolkit gets
 from not touching unchanged DOM nodes.
 
-The semantics is unaffected: ``reuse(old, new) == new`` structurally.
+The semantics is unaffected: ``reuse(old, new) == new`` structurally, and
+every box of the result carries ``new``'s ``box_id`` and ``occurrence``
+(a subtree is shared only when its navigation metadata matches too).
 Every non-faithful system runs the optimization after each RENDER; the
 ``faithful=True`` oracle never does, and the ablation benchmark E3 calls
 :func:`reuse` directly to measure it on and off.
@@ -70,7 +72,8 @@ def reuse(old, new, stats=None):
 
     ``old`` may be ``None`` (no previous display — first render, or display
     was stale after an UPDATE with no prior page); then ``new`` is returned
-    untouched.  The result is always structurally equal to ``new``.
+    untouched.  The result is always structurally equal to ``new``, with
+    ``new``'s box ids and occurrences at every node.
     """
     if stats is None:
         stats = DiffStats()
@@ -82,8 +85,31 @@ def reuse(old, new, stats=None):
     return result
 
 
+def _same_box(old, new):
+    """Equal content *and* equal navigation metadata at every node.
+
+    ``Box.__eq__`` ignores ``box_id``/``occurrence``, so an edit that
+    renumbers boxed statements without changing what they show renders
+    ``==`` boxes that select different code.  Reusing the old object
+    would put the old ids back on screen.
+    """
+    if old.box_id != new.box_id or old.occurrence != new.occurrence:
+        return False
+    if len(old.items) != len(new.items):
+        return False
+    for old_item, new_item in zip(old.items, new.items):
+        if isinstance(old_item, Box):
+            if not isinstance(new_item, Box) or not _same_box(
+                old_item, new_item
+            ):
+                return False
+        elif old_item != new_item:
+            return False
+    return True
+
+
 def _reuse_box(old, new, stats):
-    if old == new:  # deep structural equality: reuse the whole subtree
+    if _same_box(old, new):  # same content and ids: reuse the subtree
         stats.reused_boxes += old.count_boxes()
         return old
     if not _items_equal_shallow(old, new):

@@ -467,11 +467,11 @@ def cmd_top(args, out):
 
 
 def cmd_serve(args, out):
-    from .obs.trace import Tracer
     from .serve.app import make_server, shutdown_gracefully
+    from .serve.host import server_tracer
 
     source = _load_source(args.file)
-    tracer = _make_tracer(args) or Tracer()
+    tracer = _make_tracer(args) or server_tracer()
     if args.cluster_workers:
         return _serve_cluster(args, out, source, tracer)
 
@@ -828,9 +828,10 @@ def build_parser():
     def backend_option(p):
         p.add_argument(
             "--backend", choices=("tree", "compiled"), default=None,
-            help="evaluator backend: 'tree' walks the AST (the default "
-                 "and the oracle), 'compiled' lowers each code version "
-                 "to Python closures once (docs/PERF.md)",
+            help="evaluator backend: 'compiled' (the default) lowers "
+                 "each code version to Python closures once per process "
+                 "and shares them between sessions, 'tree' walks the AST "
+                 "(docs/PERF.md)",
         )
 
     p_run = sub.add_parser("run", help="run and screenshot a program")

@@ -48,11 +48,10 @@ import threading
 from ..core.errors import EvalError, ReproError
 from ..incremental.store import MemoStore
 from ..obs.sinks import filter_trace
-from ..obs.trace import Tracer
 from ..resilience.journal import (
     Journal, _collate, _replay_event, recover,
 )
-from ..serve.host import SERVE_POSTURE, SessionHost
+from ..serve.host import SERVE_POSTURE, SessionHost, server_tracer
 from ..serve.protocol import error_response, handle_request
 from ..stdlib.web import DEFAULT_LATENCY, make_services, web_host_impls
 from .transport import FrameServer, decode_json, encode_json
@@ -125,7 +124,7 @@ class Worker:
         # The id prefix makes span ids globally unique across the
         # cluster ("w3.1234-17"), so this worker's spans stitch into
         # the front's trace tree without id collisions.
-        self.tracer = Tracer(
+        self.tracer = server_tracer(
             id_prefix="w{}.{}".format(self.slot, os.getpid())
         )
         latency = config.get("latency")

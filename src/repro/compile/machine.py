@@ -1,16 +1,22 @@
-"""The closure-compiled evaluator.
+"""The closure-compiled evaluator — the production machine.
 
-One :class:`Compiled` instance is built per *code version* (the system
-rebuilds its evaluator on UPDATE, so compile-once-per-version falls out
-of the existing transition structure).  Compilation lowers every
-expression to a Python closure ``fn(rt, env) -> value`` where
+A code version is compiled **once per process**: :func:`compiled_unit`
+caches one :class:`CompiledUnit` on the immutable
+:class:`~repro.core.defs.Code` value (per native-implementation map),
+and every session running that value shares it.  A :class:`Compiled`
+evaluator is the thin per-session binding: the shared unit plus the
+session's natives, services, memo view and tracer.  Compilation lowers
+every expression to a Python closure ``fn(rt, env) -> value`` where
 
 * ``env`` is a flat list — every lambda parameter and let-binder was
   resolved to an integer index at compile time;
 * ``rt`` is the per-run mutable context (mode, store, queue, current
-  box, occurrence counters, the global *slot cache*, and the step/fuel
+  box, occurrence counters, the global *slot cache*, the step/fuel
   accounting shared with the tree machines via
-  :meth:`~repro.resilience.supervisor.Budget.charge`).
+  :meth:`~repro.resilience.supervisor.Budget.charge`, and the session's
+  natives, services and memo view).  Closures capture nothing per
+  session and no reference back to their unit, so a unit is shared
+  without locks and freed by reference counting.
 
 Global reads resolve to integer slots: the first read of a run goes
 through :meth:`~repro.system.state.Store.lookup` (so provenance read
@@ -23,7 +29,14 @@ read set, byte-identical to the tree-walker's.
 
 Tail calls — which every surface-language loop lowers to — return a
 :class:`_TailCall` sentinel unwound by a trampoline, so compiled loops
-run in constant Python stack exactly like the CEK machine.  Runtime
+run in constant Python stack exactly like the CEK machine.  Non-tail
+calls between functions of one recursive component of the ``FunRef``
+call graph (``sum(k) = k + sum(k - 1)``, mutual recursion) run on an
+explicit continuation stack instead: those functions compile to
+generators that *yield* each such call to a loop (:func:`_run_stack`),
+which keeps the suspended callers in a list.  Recursion depth is then
+bounded by memory, not by the interpreter's stack, as in the tree
+machines.  Every other function compiles to plain closures.  Runtime
 values are the closed AST values of :mod:`repro.core.ast` (never a
 separate representation): a lambda value is reconstructed by
 substituting its captured environment values into the original ``Lam``
@@ -31,7 +44,7 @@ node, which — because whole-program evaluation only ever substitutes
 *closed* values, where capture-avoidance never renames — yields the
 exact AST the substitution machines produce.  That is what makes
 renders, stores, handlers crossing runs through box attributes, and
-memo entries indistinguishable across backends.
+memo entries indistinguishable across machines.
 
 Faults keep exact parity: every ``StuckExpression`` / ``EvalError``
 message matches the tree machines character-for-character (primitive
@@ -41,10 +54,10 @@ The one documented divergence is the *step count* behind
 application (the only recursion source), so a divergent program still
 exhausts any fuel budget, but at a different count than the per-node
 machines — differential tests compare fault *types* for fuel and exact
-messages for everything else.  Non-tail calls still nest Python frames,
-so recursion deeper than the interpreter's stack also ends in
-``FuelExhausted`` where the tree machines (explicit continuation stack)
-keep going.
+messages for everything else.  Recursion that passes through lambda
+*values* (a recursive function handing itself to a higher-order one)
+still nests Python frames; past the interpreter's limit it ends in
+``FuelExhausted``, never a bare ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -56,30 +69,23 @@ from ..core.effects import PURE, RENDER, STATE
 from ..core.errors import FuelExhausted, ReproError, StuckExpression
 from ..core.prims import PRIM_SIGS
 from ..eval.machine import DEFAULT_FUEL, _check_queue, _OccurrenceCounter
-from ..eval.memo import replay_items
+from ..eval.memo import memo_facts, replay_items
 from ..eval.natives import EMPTY_NATIVES, _apply_builtin, apply_prim
 from ..eval.values import truthy
 from ..obs.trace import NULL_TRACER
 from ..resilience.supervisor import Budget
-
-#: Dynamic-unit cache bound: lambda values are compiled on first
-#: application and cached by node identity; edit thunks mint a fresh
-#: lambda per keystroke, so the cache is cleared (not evicted — entries
-#: are tiny and recompilation is cheap) past this many entries.
-_DYN_CACHE_LIMIT = 1024
+from .calls import (
+    RecursionCompiler,
+    _Call,
+    _run_stack,
+    _invoke,
+    _recursive_components,
+    _tail_apply,
+    _TailCall,
+)
 
 _UNIT = ast.UNIT_VALUE
 _Num = ast.Num
-
-
-class _TailCall:
-    """A tail application, returned to the trampoline instead of made."""
-
-    __slots__ = ("run", "env")
-
-    def __init__(self, run, env):
-        self.run = run
-        self.env = env
 
 
 class _Run:
@@ -87,17 +93,24 @@ class _Run:
 
     __slots__ = (
         "mode", "store", "queue", "box", "counters", "slots", "steps", "fuel",
+        "unit", "units", "natives", "services", "memo",
     )
 
-    def __init__(self, mode, store, queue, box, counters, slots, fuel):
+    def __init__(self, mode, store, queue, box, counters, fuel, evaluator):
+        unit = evaluator.unit
         self.mode = mode
         self.store = store
         self.queue = queue
         self.box = box
         self.counters = counters
-        self.slots = slots
+        self.slots = [None] * unit.n_slots
         self.steps = 0
         self.fuel = fuel
+        self.unit = unit
+        self.units = unit.units
+        self.natives = evaluator.natives
+        self.services = evaluator.services
+        self.memo = evaluator.memo
 
 
 class _Frame:
@@ -113,32 +126,46 @@ class _Frame:
         self.size += 1
         return index
 
+def _definition_lams(definition):
+    """Every lambda node in one definition's expressions."""
+    for expr in (
+        getattr(definition, field) for field in definition.__slots__
+    ):
+        if isinstance(expr, ast.Expr):
+            for node in ast.walk(expr):
+                if type(node) is ast.Lam:
+                    yield node
 
-def _invoke(run, rt, env):
-    """The trampoline: bounce tail calls without growing the host stack."""
-    result = run(rt, env)
-    while type(result) is _TailCall:
-        result = result.run(rt, result.env)
-    return result
+
+def compiled_unit(code, natives=EMPTY_NATIVES):
+    """The :class:`CompiledUnit` of ``code`` under these native
+    implementations — built once, then shared (cached on ``code``)."""
+    key = ("compiled",) + tuple(
+        (name, id(natives.implementation(name)))
+        for name in sorted(natives.names())
+    )
+    return code.derived(key, lambda code: CompiledUnit(code, natives))
 
 
-class Compiled:
-    """The compiled machine: same evaluator protocol, closures not trees.
+class CompiledUnit(RecursionCompiler):
+    """One code version compiled to closures, shared by its sessions.
 
     Construction compiles every function body and page init/render
     lambda of ``code``; evaluation then never inspects AST nodes on the
-    hot path (values are still AST, but flow through untouched).
+    hot path (values are still AST, but flow through untouched).  Only
+    native *signatures* are read here; implementations, services and the
+    memo view come from each run's context.  The function units never
+    change after construction; the code's own lambdas are compiled on
+    first application and kept (see :meth:`_lam_unit`).
     """
 
-    def __init__(self, code, natives=EMPTY_NATIVES, services=None, memo=None,
-                 tracer=NULL_TRACER):
+    def __init__(self, code, natives=EMPTY_NATIVES):
         if not isinstance(code, Code):
             raise ReproError("Compiled expects Code")
-        self.code = code
         self.natives = natives
-        self.services = services
-        self.memo = memo
-        self.tracer = tracer
+        # The unit keeps the definitions, not the ``Code`` value that
+        # caches it, so it is not part of a reference cycle.
+        self._functions = {d.name: d for d in code.functions()}
         # Global slots: name → integer index, plus the compile-time
         # fallback initializer (EP-GLOBAL-2 reads it when the store has
         # no entry yet — global inits are values by construction).
@@ -147,15 +174,37 @@ class Compiled:
         for index, definition in enumerate(code.globals()):
             self._slot_of[definition.name] = index
             self._init_of[definition.name] = definition.init
-        self._n_slots = len(self._slot_of)
-        #: Function name → (run, frame_size); one unit per declaration.
-        self._units = {}
-        #: id(lam) → (lam, run, frame_size) for lambda *values* applied
-        #: dynamically (handlers, page bodies, edit thunks).
+        self.n_slots = len(self._slot_of)
+        self._eligible = memo_facts(code).eligible
+        #: Function name → ``(run, frame_size, gen)``; ``gen`` is the
+        #: generator body of a function in a recursive component (and
+        #: ``run`` drives it), else ``None``.
+        self.units = {}
+        #: The lambda nodes of the code itself (page bodies, handlers
+        #: without captures), by identity: the only lambda values whose
+        #: units are worth keeping.  Lambdas built at run time (a handler
+        #: closing over locals, an edit thunk) are new objects on every
+        #: render or keystroke, so their units are compiled per use.
+        self._code_lams = {
+            id(node): node
+            for definition in code
+            for node in _definition_lams(definition)
+        }
+        #: id(lam) → (run, frame_size) for applied code lambdas.  Bounded
+        #: by the code; written without a lock, since racing threads
+        #: compile equivalent units and ``setdefault`` keeps one.
         self._dyn_units = {}
-        for definition in code.functions():
-            if isinstance(definition.body, ast.Lam):
-                self._function_unit(definition.name)
+        #: The recursive component whose body is being compiled (only
+        #: ever set during construction).
+        self._scc = None
+        bodies = {
+            name: definition.body
+            for name, definition in self._functions.items()
+            if isinstance(definition.body, ast.Lam)
+        }
+        components = _recursive_components(bodies, self._eligible)
+        for name, lam in bodies.items():
+            self.units[name] = self._function_unit(lam, components.get(name))
         for page in code.pages():
             if isinstance(page.init, ast.Lam):
                 self._lam_unit(page.init)
@@ -164,41 +213,48 @@ class Compiled:
 
     # -- compiled-unit management ---------------------------------------------
 
-    def invalidate(self):
-        """Drop every compiled unit (the UPDATE hook releases caches)."""
-        self._units.clear()
-        self._dyn_units.clear()
-
-    def _function_unit(self, name):
-        """The compiled unit for function ``name`` (body must be a Lam)."""
-        unit = self._units.get(name)
-        if unit is None:
-            lam = self.code.function(name).body
-            frame = _Frame(1)
-            scope = {lam.param: 0}
+    def _function_unit(self, lam, component):
+        """Compile one function body (a lambda) to its unit."""
+        frame = _Frame(1)
+        scope = {lam.param: 0}
+        if component is None:
             run = self._compile(lam.body, scope, frame, True)
-            unit = (run, frame.size)
-            self._units[name] = unit
-        return unit
+            return run, frame.size, None
+        self._scc = component
+        try:
+            suspends, body = self._compile_deep(lam.body, scope, frame, True)
+        finally:
+            self._scc = None
+        if suspends:
+            gen = body
+        else:
+            def gen(rt, env):
+                return body(rt, env)
+                yield  # pragma: no cover - makes this a generator
+
+        def run_driven(rt, env):
+            return _run_stack(gen, rt, env)
+
+        return run_driven, frame.size, gen
 
     def _lam_unit(self, lam):
-        """The compiled unit for a lambda *value*, cached by identity.
+        """The compiled unit for a lambda *value*.
 
-        Identity, not equality: structurally equal ``Boxed`` nodes can
-        carry different ``box_id``s (``box_id`` is ``compare=False``),
-        so equal-looking lambdas must not share a unit.
+        A lambda of the code is compiled once and kept, by identity —
+        not equality: structurally equal ``Boxed`` nodes can carry
+        different ``box_id``s (``box_id`` is ``compare=False``), so
+        equal-looking lambdas must not share a unit.
         """
         key = id(lam)
         hit = self._dyn_units.get(key)
-        if hit is not None and hit[0] is lam:
-            return hit[1], hit[2]
+        if hit is not None:
+            return hit
         frame = _Frame(1)
         scope = {lam.param: 0}
-        run = self._compile(lam.body, scope, frame, True)
-        if len(self._dyn_units) >= _DYN_CACHE_LIMIT:
-            self._dyn_units.clear()
-        self._dyn_units[key] = (lam, run, frame.size)
-        return run, frame.size
+        unit = self._compile(lam.body, scope, frame, True), frame.size
+        if self._code_lams.get(key) is lam:
+            unit = self._dyn_units.setdefault(key, unit)
+        return unit
 
     def _apply_lam(self, lam, value, rt):
         """Apply a lambda value (trampolined; charges one application)."""
@@ -452,7 +508,7 @@ class Compiled:
 
     def _compile_funref(self, name):
         """A bare function reference evaluates to its (lambda) body."""
-        definition = self.code.function(name)
+        definition = self._functions.get(name)
         if definition is None:
             def run_undefined(rt, env):
                 raise StuckExpression(
@@ -478,7 +534,7 @@ class Compiled:
         arg_fn = self._compile(arg, scope, frame, False)
         if isinstance(fn, ast.FunRef):
             name = fn.name
-            definition = self.code.function(name)
+            definition = self._functions.get(name)
             if definition is None:
                 # The callee is resolved before the argument runs, so
                 # the argument's effects must not happen (EP-FUN parity).
@@ -490,7 +546,7 @@ class Compiled:
                 return run_undefined
             if isinstance(definition.body, ast.Lam):
                 plain = self._compile_fn_call(name, arg_fn, tail)
-                if self.memo is not None and self.memo.eligible(name):
+                if name in self._eligible:
                     return self._compile_memo_call(name, arg_fn, plain)
                 return plain
         if isinstance(fn, ast.Lam):
@@ -513,32 +569,33 @@ class Compiled:
         fn_fn = self._compile(fn, scope, frame, False)
         if tail:
             def run_app_tail(rt, env):
-                lam = fn_fn(rt, env)
-                value = arg_fn(rt, env)
-                if not isinstance(lam, ast.Lam):
-                    raise StuckExpression(
-                        "application of a non-function: {!r}".format(lam)
-                    )
-                run, size = self._lam_unit(lam)
-                rt.steps = steps = rt.steps + 1
-                if steps > rt.fuel:
-                    Budget.charge(steps, rt.fuel, "compiled")
-                env2 = [None] * size
-                env2[0] = value
-                return _TailCall(run, env2)
+                return _tail_apply(fn_fn(rt, env), arg_fn(rt, env), rt)
 
             return run_app_tail
 
         def run_app(rt, env):
             lam = fn_fn(rt, env)
             value = arg_fn(rt, env)
-            return self._apply_lam(lam, value, rt)
+            return rt.unit._apply_lam(lam, value, rt)
 
         return run_app
 
     def _compile_fn_call(self, name, arg_fn, tail):
         """A direct call ``f v`` to a declared function with a Lam body."""
-        units = self._units
+        if tail and self._scc is not None and name in self._scc:
+            # A tail call inside a recursive component: the stack loop runs
+            # the callee in this body's place.
+            def run_call_driven(rt, env):
+                value = arg_fn(rt, env)
+                rt.steps = steps = rt.steps + 1
+                if steps > rt.fuel:
+                    Budget.charge(steps, rt.fuel, "compiled")
+                run, size, gen = rt.units[name]
+                env2 = [None] * size
+                env2[0] = value
+                return _Call(gen, env2)
+
+            return run_call_driven
 
         if tail:
             def run_call_tail(rt, env):
@@ -546,12 +603,10 @@ class Compiled:
                 rt.steps = steps = rt.steps + 1
                 if steps > rt.fuel:
                     Budget.charge(steps, rt.fuel, "compiled")
-                unit = units.get(name)
-                if unit is None:  # invalidated mid-flight; recompile
-                    unit = self._function_unit(name)
-                env2 = [None] * unit[1]
+                run, size, _ = rt.units[name]
+                env2 = [None] * size
                 env2[0] = value
-                return _TailCall(unit[0], env2)
+                return _TailCall(run, env2)
 
             return run_call_tail
 
@@ -560,12 +615,10 @@ class Compiled:
             rt.steps = steps = rt.steps + 1
             if steps > rt.fuel:
                 Budget.charge(steps, rt.fuel, "compiled")
-            unit = units.get(name)
-            if unit is None:
-                unit = self._function_unit(name)
-            env2 = [None] * unit[1]
+            run, size, _ = rt.units[name]
+            env2 = [None] * size
             env2[0] = value
-            return _invoke(unit[0], rt, env2)
+            return _invoke(run, rt, env2)
 
         return run_call
 
@@ -577,13 +630,12 @@ class Compiled:
         the cached box items (renumbered through this run's occurrence
         counters); on a miss run the body and capture the items it
         appended to the current box.  Never a tail call — the capture
-        happens after the body returns.
+        happens after the body returns.  Runs without a memo view (a
+        probe's private evaluator) take the plain call.
         """
-        memo = self.memo
-        units = self._units
-
         def run_memo(rt, env):
-            if rt.mode is not RENDER:
+            memo = rt.memo
+            if memo is None or rt.mode is not RENDER:
                 return plain(rt, env)
             value = arg_fn(rt, env)
             rt.steps = steps = rt.steps + 1
@@ -596,12 +648,10 @@ class Compiled:
                 box.items.extend(replay_items(entry.items, rt.counters))
                 return entry.value
             start = len(box.items)
-            unit = units.get(name)
-            if unit is None:
-                unit = self._function_unit(name)
-            env2 = [None] * unit[1]
+            run, size, _ = rt.units[name]
+            env2 = [None] * size
             env2[0] = value
-            result = _invoke(unit[0], rt, env2)
+            result = _invoke(run, rt, env2)
             memo.store_result(
                 name, value, rt.store, box.items[start:], result
             )
@@ -614,7 +664,7 @@ class Compiled:
         arg_fns = tuple(
             self._compile(arg, scope, frame, False) for arg in expr.args
         )
-        sig = PRIM_SIGS.get(op) or self.natives.signature(op)
+        sig = self._signature(op)
         if sig is None:
             # Unknown operator: still evaluate the arguments first, as
             # the sequence machinery of the tree machines does.
@@ -654,9 +704,6 @@ class Compiled:
                 return _apply_builtin(op, args)
 
             return run_builtin_effect
-        natives = self.natives
-        services = self.services
-
         def run_native(rt, env):
             args = tuple(fn(rt, env) for fn in arg_fns)
             if effect is not PURE and rt.mode is not effect:
@@ -665,15 +712,38 @@ class Compiled:
                         op, effect, rt.mode
                     )
                 )
-            return apply_prim(op, args, natives=natives, services=services)
+            return apply_prim(
+                op, args, natives=rt.natives, services=rt.services
+            )
 
         return run_native
 
-    # -- run entry --------------------------------------------------------------
+    def _signature(self, op):
+        return PRIM_SIGS.get(op) or self.natives.signature(op)
+class Compiled:
+    """The compiled machine for one session: same evaluator protocol,
+    closures not trees.
+
+    Construction looks up (or, the first time, builds) the shared
+    :class:`CompiledUnit` of ``code`` and binds it to this session's
+    natives, services, memo view and tracer; each run hands those to the
+    closures through its :class:`_Run` context.
+    """
+
+    def __init__(self, code, natives=EMPTY_NATIVES, services=None, memo=None,
+                 tracer=NULL_TRACER):
+        if not isinstance(code, Code):
+            raise ReproError("Compiled expects Code")
+        self.code = code
+        self.unit = compiled_unit(code, natives)
+        self.natives = natives
+        self.services = services
+        self.memo = memo
+        self.tracer = tracer
 
     def _run(self, expr, mode, store, queue, box, counters, fuel):
-        rt = _Run(mode, store, queue, box, counters,
-                  [None] * self._n_slots, fuel)
+        rt = _Run(mode, store, queue, box, counters, fuel, self)
+        unit = self.unit
         try:
             # The system's entry shapes are `App(lam, value)` (THUNK /
             # PUSH / RENDER all apply a page or handler lambda), which
@@ -684,16 +754,17 @@ class Compiled:
                 and isinstance(expr.fn, ast.Lam)
                 and expr.arg.is_value()
             ):
-                return self._apply_lam(expr.fn, expr.arg, rt)
+                return unit._apply_lam(expr.fn, expr.arg, rt)
             frame = _Frame(0)
-            run = self._compile(expr, {}, frame, False)
+            run = unit._compile(expr, {}, frame, False)
             return _invoke(run, rt, [None] * frame.size)
         except RecursionError:
-            # Non-tail calls nest Python frames; past the interpreter's
-            # limit the run is out of a resource, like fuel.
+            # Recursion through lambda values nests Python frames; past
+            # the interpreter's limit the run is out of a resource, like
+            # fuel.
             raise FuelExhausted(
                 "evaluation exceeded the compiled machine's stack depth "
-                "(non-tail recursion too deep)"
+                "(recursion through lambda values too deep)"
             ) from None
         finally:
             self.tracer.add("eval_steps", rt.steps)

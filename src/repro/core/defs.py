@@ -97,6 +97,10 @@ class PageDef(Def):
         return fun(self.arg_type, UNIT, RENDER)
 
 
+#: How many derived facts one :class:`Code` value caches (:meth:`Code.derived`).
+DERIVED_BOUND = 8
+
+
 class Code:
     """The program ``C``: an immutable named collection of definitions.
 
@@ -106,9 +110,10 @@ class Code:
     """
 
     #: ``_verdict`` caches the outcome of ``C ⊢ C`` for this value (see
-    #: :func:`repro.typing.program.known_problems`); it is not part of
-    #: the program and never affects equality.
-    __slots__ = ("_defs", "_verdict")
+    #: :func:`repro.typing.program.known_problems`) and ``_derived`` the
+    #: facts computed from it once per code version (:meth:`derived`);
+    #: neither is part of the program or affects equality.
+    __slots__ = ("_defs", "_verdict", "_derived")
 
     def __init__(self, defs=()):
         table = {}
@@ -124,6 +129,7 @@ class Code:
             table[definition.name] = definition
         self._defs = table
         self._verdict = None
+        self._derived = {}
 
     # -- collection protocol ------------------------------------------------
 
@@ -183,6 +189,28 @@ class Code:
     def pages(self):
         """All page definitions, in definition order."""
         return tuple(d for d in self if isinstance(d, PageDef))
+
+    # -- derived facts ----------------------------------------------------------
+
+    def derived(self, key, build):
+        """``build(self)``, computed once per code value and cached on it.
+
+        Code is immutable, so anything computed from it alone — memo
+        facts, compiled closures — can be shared by every session that
+        runs this value.  Identity, not equality, is what shares:
+        structurally equal programs may differ in ``box_id``s.  At most
+        :data:`DERIVED_BOUND` facts are kept; past that the cache starts
+        over (holders keep theirs).  Safe under threads: two racing
+        builds may both run, and the first one stored is returned to
+        both.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = build(self)
+            if len(self._derived) >= DERIVED_BOUND:
+                self._derived.clear()
+            value = self._derived.setdefault(key, value)
+        return value
 
     # -- functional updates (used by the live editor) -------------------------
 

@@ -6,23 +6,22 @@ an :class:`EvalBackend` instead of importing a machine class directly:
 
 * **compile hook** — :meth:`EvalBackend.compile` builds an evaluator
   for one *code version* (the system calls it at construction and again
-  on every UPDATE, so a backend that does real compilation compiles
-  once per version);
+  on every UPDATE);
 * **step hooks** — the returned evaluator satisfies the protocol the
   transitions consume: ``run_state(store, queue, expr, fuel=…)``,
   ``run_render(store, expr, fuel=…)`` and ``run_pure(store, expr,
-  fuel=…)``;
-* **invalidate hook** — :meth:`EvalBackend.invalidate` is called with
-  the *outgoing* evaluator when an UPDATE retires it, so backends
-  holding compiled-unit caches release them promptly.
+  fuel=…)``.
 
-Two backends ship: ``"tree"`` (the CEK machine of
-:mod:`repro.eval.machine` — also the oracle configuration, and the only
-one the ``faithful`` small-stepper pairs with) and ``"compiled"`` (the
-closure-compilation machine of :mod:`repro.compile`).  Select one with
-the kw-only ``backend=`` option on :class:`repro.api.LiveSession` /
-:class:`repro.api.SessionHost`, or ``--backend`` on ``repro run`` /
-``repro serve`` (cluster serves pass it through to every worker).
+Two backends ship.  ``"compiled"`` (the closure-compilation machine of
+:mod:`repro.compile`) is the default: each code version is compiled once
+per process and shared by every session that runs it, so its
+``compile`` hook only binds the shared unit to the session.  ``"tree"``
+is the CEK tree-walker of :mod:`repro.eval.machine`, kept selectable.
+Neither is the oracle: ``faithful=True`` runs the small-step machine
+whatever the backend.  Select one with the kw-only ``backend=`` option
+on :class:`repro.api.LiveSession` / :class:`repro.api.SessionHost`, or
+``--backend`` on ``repro run`` / ``repro serve`` (cluster serves pass it
+through to every worker).
 """
 
 from __future__ import annotations
@@ -44,15 +43,12 @@ class EvalBackend:
         """Build an evaluator for ``code`` (one call per code version)."""
         raise NotImplementedError
 
-    def invalidate(self, evaluator):
-        """Release ``evaluator``'s per-code-version caches (UPDATE hook)."""
-
     def __repr__(self):
         return "<{} {!r}>".format(type(self).__name__, self.name)
 
 
 class TreeBackend(EvalBackend):
-    """The default backend: the CEK tree-walking machine."""
+    """The CEK tree-walking machine."""
 
     name = "tree"
 
@@ -65,7 +61,7 @@ class TreeBackend(EvalBackend):
 
 
 class CompiledBackend(EvalBackend):
-    """The closure-compilation backend (:mod:`repro.compile`)."""
+    """The default backend: closure compilation (:mod:`repro.compile`)."""
 
     name = "compiled"
 
@@ -78,11 +74,6 @@ class CompiledBackend(EvalBackend):
             tracer=tracer,
         )
 
-    def invalidate(self, evaluator):
-        invalidate = getattr(evaluator, "invalidate", None)
-        if invalidate is not None:
-            invalidate()
-
 
 #: The named backends ``resolve_backend`` accepts.
 BACKENDS = {
@@ -94,12 +85,12 @@ BACKENDS = {
 def resolve_backend(spec):
     """Coerce ``spec`` to an :class:`EvalBackend`.
 
-    Accepts ``None`` (the default tree backend), a registered name, or
+    Accepts ``None`` (the default compiled backend), a registered name, or
     an :class:`EvalBackend`-shaped instance (anything with a ``compile``
     hook — embedders can bring their own).
     """
     if spec is None:
-        return BACKENDS["tree"]
+        return BACKENDS["compiled"]
     if isinstance(spec, str):
         backend = BACKENDS.get(spec)
         if backend is None:

@@ -13,9 +13,9 @@ set)``, and that tuple is a complete memo key.
 
 The read set is computed statically: the ``GlobalRead`` names in the
 function's body, closed transitively over the functions it references.
-The machine (``BigStep(memo=...)``) consults the cache at every
-``f(args)`` call in render mode; on a hit it splices the cached box items
-into the current box and skips execution entirely.
+The machines (``Compiled(memo=...)``, ``BigStep(memo=...)``) consult the
+cache at every ``f(args)`` call in render mode; on a hit they splice the
+cached box items into the current box and skip execution entirely.
 
 **Entries survive code updates** (repro.incremental).  The cache is keyed
 by ``(code digest, argument)`` — the digest hashes the function body
@@ -153,15 +153,48 @@ def _renumber(box, counters):
     )
 
 
-class RenderMemo:
-    """One code version's view of the (possibly shared) memo store.
+class MemoFacts:
+    """What a :class:`RenderMemo` knows about one code version.
 
-    The per-version parts — digests, read sets, eligibility — are
-    recomputed from ``code``; the entries live in ``store``, which the
-    owning :class:`~repro.system.transitions.System` threads through
-    UPDATE so they survive it.  Constructed without a ``store`` (tests,
-    standalone machines) it owns a private one, which restores the old
-    cache-per-machine behaviour.
+    Read sets, native sets, digests and eligibility are functions of the
+    code alone, so they are computed once per code version
+    (:func:`memo_facts`) and shared by every session that runs it.  They
+    are never mutated after construction.
+    """
+
+    __slots__ = ("read_sets", "native_sets", "digests", "eligible")
+
+    def __init__(self, code):
+        facts = _function_facts(code)
+        self.read_sets = _transitive(facts, _READS)
+        self.native_sets = _transitive(facts, _NATIVES)
+        self.digests = code_digests(
+            code,
+            callees={name: fact[_CALLEES] for name, fact in facts.items()},
+        )
+        self.eligible = frozenset(
+            d.name
+            for d in code.functions()
+            if d.type.effect is RENDER and not d.name.startswith("$")
+        )
+
+
+def memo_facts(code):
+    """The :class:`MemoFacts` of ``code``, cached on the code value."""
+    return code.derived("memo_facts", MemoFacts)
+
+
+class RenderMemo:
+    """One session's view of the (possibly shared) memo store for one
+    code version.
+
+    The per-version facts come from :func:`memo_facts`, shared with every
+    other session running the same ``Code``; the entries live in
+    ``store``, which the owning :class:`~repro.system.transitions.System`
+    threads through UPDATE so they survive it.  Constructed without a
+    ``store`` (tests, standalone machines) it owns a private one, which
+    restores the old cache-per-machine behaviour.  The hit/miss counters
+    are this view's own.
     """
 
     def __init__(self, code, store=None, max_entries=4096,
@@ -169,18 +202,11 @@ class RenderMemo:
         if not isinstance(code, Code):
             raise ReproError("RenderMemo expects Code")
         self.code = code
-        facts = _function_facts(code)
-        self._read_sets = _transitive(facts, _READS)
-        self._native_sets = _transitive(facts, _NATIVES)
-        self._digests = code_digests(
-            code,
-            callees={name: fact[_CALLEES] for name, fact in facts.items()},
-        )
-        self._eligible = {
-            d.name
-            for d in code.functions()
-            if d.type.effect is RENDER and not d.name.startswith("$")
-        }
+        facts = memo_facts(code)
+        self._read_sets = facts.read_sets
+        self._native_sets = facts.native_sets
+        self._digests = facts.digests
+        self._eligible = facts.eligible
         self.memo_store = (
             store if store is not None
             else MemoStore(max_entries, tracer=tracer)

@@ -7,9 +7,11 @@ preserve typability are applied.  Partial primitives (division, parsing,
 indexing) are deliberately excluded so preservation runs cannot trap;
 progress-with-faults is exercised by dedicated tests instead.
 
-Generated programs always terminate: generated function bodies make no
-calls, and there is no recursion source other than the (unused) FunRef
-rule — so property tests can fully reduce everything they generate.
+Generated programs always terminate.  :func:`programs` and
+:func:`live_programs` keep the call graph acyclic;
+:func:`recursive_programs` recurses (self or mutual, calls in non-tail
+positions) but every call passes ``k - 1`` under a ``k > 0`` guard — so
+property tests can fully reduce everything they generate.
 """
 
 from __future__ import annotations
@@ -312,6 +314,94 @@ def live_programs(draw, max_globals=3, body_depth=3, max_functions=3):
         "start",
         UNIT,
         ast.Lam(ast.fresh_name("a"), UNIT, init_body, STATE),
+        ast.Lam(ast.fresh_name("a"), UNIT, render_body, RENDER),
+    )
+    return Code(globals_ + functions + [page])
+
+
+@st.composite
+def recursive_programs(draw, max_depth=12):
+    """Strategy for programs whose view needs non-tail recursion.
+
+    One to three functions ``f0 … fm`` of type ``number -µ> number`` call
+    each other in a cycle (``f0`` calls itself when alone), always on
+    ``k - 1`` under a ``k > 0`` guard.  The call sits in a non-tail
+    position — an operand (in either order), a tuple item, a let-bound
+    value, inside a ``boxed`` body — or, for some functions of a cycle,
+    in tail position, so components mix tail and non-tail calls.  With
+    the render effect every level may
+    box and post, which drives the render memo through recursion; the
+    base case may fault (division by zero).  The start page renders
+    ``f0`` at a global depth of at most ``max_depth``.
+    """
+    from ..core.defs import FunDef
+
+    effect = draw(st.sampled_from((PURE, RENDER)))
+    depth = GlobalDef(
+        "depth", NUMBER, ast.Num(float(draw(st.integers(0, max_depth))))
+    )
+    scale = GlobalDef(
+        "scale", NUMBER, ast.Num(float(draw(st.integers(-3, 3))))
+    )
+    globals_ = [depth, scale]
+    size = draw(st.integers(1, 3))
+    names = ["f{}".format(index) for index in range(size)]
+    plain = Code(globals_)  # operands make no further calls
+    faulting = draw(st.booleans())
+    functions = []
+    for index, name in enumerate(names):
+        k = ast.Var("k")
+        call = ast.App(
+            ast.FunRef(names[(index + 1) % size]),
+            ast.Prim("sub", (k, ast.Num(1.0))),
+        )
+        placement = draw(st.sampled_from(
+            ("operand", "tuple", "let", "tail") if size > 1 and index > 0
+            else ("operand", "tuple", "let")
+        ))
+        if effect is RENDER and draw(st.booleans()):
+            placement = "boxed"
+        operand = draw(expressions_of(plain, {"k": NUMBER}, NUMBER, PURE, 1))
+        if placement == "operand":
+            operands = (operand, call) if draw(st.booleans()) else (
+                call, operand
+            )
+            step = ast.Prim(draw(st.sampled_from(("add", "sub"))), operands)
+        elif placement == "tuple":
+            step = ast.Proj(ast.Tuple((operand, call)), 2)
+        elif placement == "tail":
+            step = call
+        else:
+            bound = ast.fresh_name("r")
+            body = draw(expressions_of(
+                plain, {"k": NUMBER, bound: NUMBER}, NUMBER, effect, 2,
+            ))
+            if effect is RENDER:
+                body = ast.App(
+                    ast.Lam(ast.fresh_name("seq"), UNIT, body, effect),
+                    ast.Post(ast.Var(bound)),
+                )
+            step = ast.App(ast.Lam(bound, NUMBER, body, effect), call)
+            if placement == "boxed":
+                step = ast.Boxed(step, box_id=index)
+        base = (
+            ast.Prim("div", (ast.Num(1.0), ast.Num(0.0)))
+            if faulting and index == size - 1
+            else draw(expressions_of(plain, {}, NUMBER, PURE, 1))
+        )
+        functions.append(FunDef(
+            name, FunType(NUMBER, NUMBER, effect),
+            ast.Lam("k", NUMBER, ast.If(
+                ast.Prim("gt", (k, ast.Num(0.0))), step, base,
+            ), effect),
+        ))
+    render_body = ast.Post(
+        ast.App(ast.FunRef(names[0]), ast.GlobalRead("depth"))
+    )
+    page = PageDef(
+        "start",
+        UNIT,
+        ast.Lam(ast.fresh_name("a"), UNIT, ast.UNIT_VALUE, STATE),
         ast.Lam(ast.fresh_name("a"), UNIT, render_body, RENDER),
     )
     return Code(globals_ + functions + [page])

@@ -140,9 +140,12 @@ def save_image(session, meta=None):
         ],
     }
     # The evaluator backend is session configuration that should survive
-    # evict → rehydrate.  The default stays implicit, so tree-backend
-    # images are byte-identical to what they always were; custom backend
-    # *instances* have no registry name and stay per-process.
+    # evict → rehydrate.  The image format predates backends, so an image
+    # without the key means the tree backend and tree-backend images stay
+    # byte-identical to what they always were; every other registered
+    # backend — the compiled default included — is recorded by name.
+    # Custom backend *instances* have no registry name and stay
+    # per-process.
     backend_name = session.runtime.system.backend_name
     if backend_name not in (None, "tree"):
         image["backend"] = backend_name
@@ -182,11 +185,13 @@ def load_image(data, host_impls=None, services=None, source=None,
     against whatever code actually compiles, so state that no longer
     types is dropped (and reported on ``session.last_restore_report``).
 
-    The saved ``"backend"`` (when present) becomes the restored
-    session's evaluator backend; an explicit ``backend=`` keyword wins
-    over the image, which is how a host migrates a saved session onto a
-    different backend — the two produce byte-identical displays, so the
-    switch is invisible to the user.
+    The saved ``"backend"`` becomes the restored session's evaluator
+    backend; an image without one (tree-backend images, and every image
+    written before backends existed) restores on the tree backend.  An
+    explicit ``backend=`` keyword wins over the image, which is how a
+    host migrates a saved session onto a different backend — the two
+    produce byte-identical displays, so the switch is invisible to the
+    user.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -198,8 +203,8 @@ def load_image(data, host_impls=None, services=None, source=None,
     from .system.fixup import fixup
     from .system.state import PageStack, Store
 
-    if session_kwargs.get("backend") is None and data.get("backend"):
-        session_kwargs["backend"] = data["backend"]
+    if session_kwargs.get("backend") is None:
+        session_kwargs["backend"] = data.get("backend") or "tree"
     session = LiveSession(
         source if source is not None else data["source"],
         host_impls=host_impls,

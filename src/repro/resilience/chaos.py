@@ -164,7 +164,7 @@ class ChaosServices:
 
 
 class ChaosEvaluator:
-    """Wraps a :class:`~repro.eval.machine.BigStep` / ``SmallStep``.
+    """Wraps an evaluator (``Compiled``, ``BigStep`` or ``SmallStep``).
 
     Satisfies the evaluator protocol ``system.transitions`` consumes
     (``run_state`` / ``run_render`` / ``run_pure``).  A fired ``"eval"``

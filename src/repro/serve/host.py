@@ -46,6 +46,7 @@ single-threaded by design.
 
 from __future__ import annotations
 
+import json
 import secrets
 import threading
 from collections import OrderedDict
@@ -54,7 +55,8 @@ from types import MappingProxyType
 
 from ..core.errors import EvalError, ReproError, SessionQuarantined
 from ..live.session import LiveSession
-from ..obs.trace import NULL_TRACER
+from ..obs.sinks import InMemorySink
+from ..obs.trace import NULL_TRACER, Tracer
 from ..persist import load_image, save_image
 from ..render.html_backend import display_fingerprint, render_html
 from ..system.services import Services
@@ -68,6 +70,22 @@ from .batching import apply_batch
 SERVE_POSTURE = MappingProxyType(
     {"fault_policy": "record", "supervised": True}
 )
+
+
+#: Finished spans a serving process keeps in memory for trace fetches
+#: (``stats`` with a ``trace_id``, ``repro trace --cluster``): the traces
+#: of the last thousand or so requests.  A span costs ~0.5 KiB, so this
+#: bound — not the request count — caps a long-running server's trace
+#: memory; ``--trace-jsonl`` streams the full history to disk instead.
+SERVER_SPANS = 4096
+
+
+def server_tracer(id_prefix=None):
+    """The tracer a serving process records into (single host, cluster
+    front, each cluster worker)."""
+    return Tracer(
+        sinks=[InMemorySink(max_spans=SERVER_SPANS)], id_prefix=id_prefix
+    )
 
 
 class UnknownToken(ReproError):
@@ -91,7 +109,7 @@ class _Entry:
         # thread itself is the one using the session.
         self.lock = threading.Lock()
         self.session = session     # LiveSession when resident, else None
-        self.image = None          # persist image dict when evicted
+        self.image = None          # (source, image JSON) when evicted
         self.generation = 0        # bumped when the HTML bytes change
         self.html = None           # last rendered document
         self.fingerprint = None    # content hash behind ``generation``
@@ -133,7 +151,7 @@ class SessionHost:
     state are, exactly as in :mod:`repro.persist`).
 
     ``session_kwargs`` (e.g. :data:`SERVE_POSTURE`, or
-    ``backend="compiled"``) are passed to every session; sessions always
+    ``backend="tree"``) are passed to every session; sessions always
     run with the null tracer — host-level metrics live on
     ``self.tracer``.
     """
@@ -364,8 +382,11 @@ class SessionHost:
 
     def _rehydrate(self, entry):
         """Entry lock held: rebuild the LiveSession from its image."""
+        source, text = entry.image
+        image = json.loads(text)
+        image["source"] = source
         entry.session = load_image(
-            entry.image,
+            image,
             host_impls=self._make_host_impls(),
             services=self._make_services(),
             **self._session_kwargs_for(entry.token)
@@ -410,12 +431,25 @@ class SessionHost:
             return evicted
 
     def _evict_entry(self, entry):
-        """Entry lock held: serialize to an image and drop the session."""
-        entry.image = save_image(
+        """Entry lock held: serialize to an image and drop the session.
+
+        The image is kept as its source (shared with every session
+        running it) and the compact JSON text of the rest, a fraction of
+        the memory of the nested lists it encodes.  The HTML document
+        goes too, unless the session is quarantined (degraded service
+        serves it).  Every other render rehydrates first and rebuilds it
+        at most once; the kept fingerprint means the rebuild bumps no
+        generation.
+        """
+        image = save_image(
             entry.session,
             meta={"token": entry.token, "generation": entry.generation},
         )
+        source = image.pop("source")
+        entry.image = (source, json.dumps(image, separators=(",", ":")))
         entry.session = None
+        if not entry.quarantined:
+            entry.html = None
         self._count("sessions_evicted")
 
     def evict(self, token):

@@ -105,19 +105,15 @@ class System:
         if not isinstance(code, Code):
             raise ReproError("System expects Code")
         self.natives = natives
-        #: Evaluator backend (repro.eval.backends): ``"tree"`` walks the
-        #: AST (the oracle), ``"compiled"`` lowers each code version to
-        #: Python closures once and reuses them.  ``faithful`` pins the
-        #: small-step machine and only pairs with the tree backend.
+        #: Evaluator backend (repro.eval.backends): ``"compiled"`` (the
+        #: default) runs each code version's closures, compiled once per
+        #: process and shared by every session running it; ``"tree"``
+        #: walks the AST.  ``faithful`` runs the small-step machine
+        #: whatever the backend.
         from ..eval.backends import resolve_backend
 
         self.backend = resolve_backend(backend)
         self.backend_name = self.backend.name
-        if faithful and self.backend_name not in (None, "tree"):
-            raise ReproError(
-                "faithful evaluation is the tree oracle; it cannot run "
-                "on backend {!r}".format(self.backend_name)
-            )
         #: Observability hook (repro.obs).  The default NullTracer makes
         #: every instrumentation point a no-op; a real Tracer records a
         #: span per fired transition plus the metric catalog.
@@ -578,12 +574,6 @@ class System:
                     "incremental.entries_carried", len(self._memo_store)
                 )
                 self._render_after_update = True
-            # Retire the outgoing evaluator before compiling the new
-            # code version (backends with compiled-unit caches free
-            # them here; duck-typed backends may omit the hook).
-            retire = getattr(self.backend, "invalidate", None)
-            if retire is not None:
-                retire(self._evaluator)
             self._evaluator = self._make_evaluator(new_code)
             if not report.clean:
                 span.annotate(

@@ -18,8 +18,9 @@ from repro.system.transitions import System
 
 
 class TestResolveBackend:
-    def test_none_is_the_tree_default(self):
-        assert resolve_backend(None) is BACKENDS["tree"]
+    def test_none_is_the_compiled_default(self):
+        assert resolve_backend(None) is BACKENDS["compiled"]
+        assert resolve_backend(None).name == "compiled"
 
     def test_names_resolve_to_the_registry_singletons(self):
         assert isinstance(resolve_backend("tree"), TreeBackend)
@@ -50,10 +51,13 @@ class TestResolveBackend:
 
 
 class TestSystemIntegration:
-    def test_default_backend_is_tree(self):
+    def test_default_backend_is_compiled(self):
+        from repro.compile import Compiled
+
         code = compile_source(COUNTER).code
         system = System(code)
-        assert system.backend_name == "tree"
+        assert system.backend_name == "compiled"
+        assert isinstance(system._evaluator, Compiled)
 
     def test_compiled_backend_builds_a_compiled_evaluator(self):
         from repro.compile import Compiled
@@ -63,11 +67,15 @@ class TestSystemIntegration:
         assert system.backend_name == "compiled"
         assert isinstance(system._evaluator, Compiled)
 
-    def test_faithful_rejects_non_tree_backends(self):
+    def test_faithful_pins_the_small_step_machine(self):
+        from repro.eval.machine import SmallStep
+
         code = compile_source(COUNTER).code
-        with pytest.raises(ReproError) as caught:
-            System(code, faithful=True, backend="compiled")
-        assert "faithful" in str(caught.value)
+        for backend in (None, "compiled", "tree"):
+            system = System(code, faithful=True, backend=backend)
+            assert isinstance(system._evaluator, SmallStep)
+            system.run_to_stable()
+            assert "count: 0" in render_html(system.display)
 
     def test_faithful_still_works_on_the_tree_backend(self):
         code = compile_source(COUNTER).code
@@ -75,19 +83,23 @@ class TestSystemIntegration:
         system.run_to_stable()
         assert "count: 0" in render_html(system.display)
 
-    def test_update_retires_the_outgoing_compiled_units(self):
+    def test_update_keeps_the_shared_unit(self):
         code = compile_source(COUNTER).code
-        system = System(code, backend="compiled")
-        system.run_to_stable()
-        outgoing = system._evaluator
-        assert outgoing._dyn_units  # precompiled page units
-        system.update(compile_source(
+        edited = System(code, backend="compiled")
+        other = System(code, backend="compiled")
+        shared = other._evaluator.unit
+        assert edited._evaluator.unit is shared
+        edited.update(compile_source(
             COUNTER.replace('"reset"', '"zero"')
         ).code)
-        assert system._evaluator is not outgoing
-        # The invalidate hook released the outgoing version's caches.
-        assert not outgoing._units
-        assert not outgoing._dyn_units
+        edited.run_to_stable()
+        assert edited._evaluator.unit is not shared
+        # The outgoing version's unit is untouched: the other session
+        # still runs it.
+        assert shared._dyn_units  # its precompiled page units
+        other.run_to_stable()
+        assert "reset" in render_html(other.display)
+        assert "zero" in render_html(edited.display)
 
     def test_update_keeps_the_backend(self):
         code = compile_source(COUNTER).code

@@ -1,19 +1,27 @@
-"""Deep non-tail recursion on the compiled backend ends in a typed fault.
+"""Deep non-tail recursion on the compiled machine.
 
-The compiled machine nests Python frames for non-tail calls, so a deep
-enough recursion overflows the interpreter stack.  That must surface as
+Functions in a recursive component of the call graph run their non-tail
+calls on an explicit continuation stack, so the compiled default renders
+recursion as deep as the tree machine does.  A real fuel
+budget still ends a run in a typed
 :class:`~repro.core.errors.FuelExhausted` — recorded under
-``fault_policy="record"`` like any other exhausted budget — and never
-as a bare :class:`RecursionError` at an API boundary.
+``fault_policy="record"`` like any other exhausted budget — and never in
+a bare :class:`RecursionError` at an API boundary.
 """
 
 import pytest
 
-from repro.core.errors import FuelExhausted, ReproError
+from repro.core.errors import FuelExhausted
+from repro.eval.backends import resolve_backend
 from repro.live.session import LiveSession
+from repro.render.html_backend import render_html
+from repro.resilience.supervisor import Budget
 from repro.serve.host import SessionHost
 
 DEPTH = 5000
+DEEP = 50_000
+#: Enough steps for ``sum(3)``, far too few for ``sum(DEPTH)``.
+SMALL = Budget(fuel=1000)
 
 SOURCE_TEMPLATE = '''\
 global n : number = {n}
@@ -34,6 +42,37 @@ page start()
         n := {depth}
 '''
 
+MUTUAL = '''\
+fun down(k : number) : number
+  var r := 0
+  if k > 0 then
+    r := 1 + up(k - 1)
+  return r
+
+fun up(k : number) : number
+  var r := 0
+  if k > 0 then
+    r := 2 + down(k - 1)
+  return r
+
+page start()
+  render
+    post "steps: " || down({n})
+'''
+
+NESTED_BOXES = '''\
+fun rows(k : number)
+  if k > 0 then
+    boxed
+      post k
+    rows(k - 1)
+    post "after " || k
+
+page start()
+  render
+    rows({n})
+'''
+
 
 def source(n, depth=DEPTH):
     return SOURCE_TEMPLATE.format(n=n, depth=depth)
@@ -48,23 +87,48 @@ def fault_types(session):
 
 
 def test_tree_backend_renders_the_deep_sum():
-    session = LiveSession(source(DEPTH))
+    session = LiveSession(source(DEPTH), backend="tree")
     assert "total: 12502500" in session.screenshot()
+
+
+def test_compiled_default_renders_depth_fifty_thousand():
+    assert resolve_backend(None).name == "compiled"
+    session = LiveSession(source(DEEP))
+    assert session.runtime.system.backend_name == "compiled"
+    assert "total: 1250025000" in session.screenshot()
+
+
+def test_mutual_recursion_runs_on_the_explicit_stack():
+    session = LiveSession(MUTUAL.format(n=DEEP))
+    assert "steps: 75000" in session.screenshot()
+
+
+def test_recursive_render_function_matches_the_tree_machine():
+    # A memoized recursive render function: every level captures the
+    # boxes its callee appended, so the memo sees the same items.
+    src = NESTED_BOXES.format(n=300)
+    fast = LiveSession(src)
+    oracle = LiveSession(src, backend="tree")
+    assert render_html(fast.display) == render_html(oracle.display)
+    fast.runtime.system._invalidate()
+    fast.runtime.system.run_to_stable()
+    assert fast.runtime.system.last_render_stats["hits"] == 1
+    assert render_html(fast.display) == render_html(oracle.display)
 
 
 def test_construction_raises_a_typed_fault():
     with pytest.raises(FuelExhausted) as caught:
-        compiled(source(DEPTH))
-    assert "stack depth" in str(caught.value)
+        compiled(source(DEPTH), budget=SMALL)
+    assert "compiled budget of 1000 exhausted" in str(caught.value)
 
 
 def test_construction_records_the_fault():
-    session = compiled(source(DEPTH), fault_policy="record")
+    session = compiled(source(DEPTH), fault_policy="record", budget=SMALL)
     assert fault_types(session) == [FuelExhausted]
 
 
 def test_the_render_a_tap_triggers_records_the_fault():
-    session = compiled(source(3), fault_policy="record")
+    session = compiled(source(3), fault_policy="record", budget=SMALL)
     assert "total: 6" in session.screenshot()
     session.tap_text("deeper")
     assert fault_types(session) == [FuelExhausted]
@@ -72,7 +136,7 @@ def test_the_render_a_tap_triggers_records_the_fault():
 
 
 def test_tap_under_the_raise_policy_is_typed():
-    session = compiled(source(3))
+    session = compiled(source(3), budget=SMALL)
     with pytest.raises(FuelExhausted):
         session.tap_text("deeper")
 
@@ -80,12 +144,14 @@ def test_tap_under_the_raise_policy_is_typed():
 def test_edit_source_never_leaks_recursion_error():
     session = compiled(source(3), fault_policy="record")
     try:
-        session.edit_source(source(3).replace("sum(n)", "sum(n * 2000)"))
+        result = session.edit_source(
+            source(3).replace("sum(n)", "sum(n * 10000)")
+        )
     except RecursionError:  # pragma: no cover - the regression
         pytest.fail("RecursionError escaped edit_source")
-    except ReproError:
-        pass
-    assert FuelExhausted in fault_types(session)
+    assert result.applied
+    assert "total: 450015000" in session.screenshot()
+    assert fault_types(session) == []
 
 
 def test_session_host_ops_stay_typed():

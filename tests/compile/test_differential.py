@@ -16,7 +16,11 @@ from repro.apps.counter import SOURCE as COUNTER
 from repro.apps.mortgage import BASE_SOURCE, apply_i2, host_impls
 from repro.core.errors import EvalError, FuelExhausted
 from repro.live.session import LiveSession
-from repro.metatheory.generators import edited_codes, live_programs
+from repro.metatheory.generators import (
+    edited_codes,
+    live_programs,
+    recursive_programs,
+)
 from repro.render.html_backend import render_html
 from repro.resilience import Budget
 from repro.stdlib.web import make_services
@@ -88,6 +92,31 @@ class TestRenderParity:
             tree.run_to_stable()
             compiled.run_to_stable()
             assert_same_observables(tree, compiled)
+
+
+def recorded_run(code, **kwargs):
+    """Boot ``code`` under the record policy: (html, store, faults)."""
+    runtime = Runtime(code, fault_policy="record", **kwargs).start()
+    return (
+        render_html(runtime.display),
+        dict(runtime.system.state.store.items()),
+        [(type(f.error), str(f.error), f.during) for f in runtime.faults],
+    )
+
+
+class TestRecursionParity:
+    @settings(
+        max_examples=30, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(code=recursive_programs())
+    def test_non_tail_recursion_matches_the_faithful_oracle(self, code):
+        # Self and mutual recursion in operand, let, boxed and tail
+        # positions (the compiled machine's explicit-stack path), pure
+        # and render-effect (memoized), some faulting at the base.
+        oracle = recorded_run(code, faithful=True)
+        assert recorded_run(code, backend="compiled") == oracle
+        assert recorded_run(code, backend="tree") == oracle
 
 
 def session_pair(source, **kwargs):

@@ -14,6 +14,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import counter_core_code  # noqa: E402
 
 
+@pytest.fixture(autouse=True)
+def _fresh_intern_table():
+    """Each test starts with an empty compile intern table.
+
+    ``compile_source`` shares compiled programs process-wide; without
+    this, whether a test's compile runs the pipeline (and records its
+    spans and core checks) would depend on which tests ran before it.
+    """
+    from repro.surface.compile import _INTERNED
+
+    _INTERNED.clear()
+    yield
+
+
 @pytest.fixture
 def counter_code():
     """The counter app as core code (one global, one page, one handler)."""

@@ -139,6 +139,17 @@ class TestBreaker:
         with pytest.raises(SessionQuarantined):
             host.tap(token, text="bump")
 
+    def test_evicted_quarantined_session_keeps_its_degraded_html(self):
+        host = make_host()
+        token = host.create()
+        html_before, generation, _ = host.render(token)
+        crash(host, token, 3)
+        assert host.evict(token)
+        assert host._entries[token].html == html_before
+        html, after_generation, modified = host.render(token)
+        assert modified and html == html_before
+        assert after_generation == generation
+
     def test_quarantine_disabled_with_none(self):
         host = make_host(quarantine_after=None)
         token = host.create()

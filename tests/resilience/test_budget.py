@@ -22,9 +22,12 @@ class TestBudget:
             Budget(deadline=-1.0)
 
     def test_fuel_budget_trips_on_expensive_render(self):
-        # A tiny fuel allowance: even booting the page blows it.
+        # A tiny fuel allowance: even booting the page blows it.  Fuel
+        # counts machine steps: the tree machine charges every node, the
+        # compiled one only function applications (this page has none),
+        # so the tree machine is the one a five-step budget can trip.
         with pytest.raises(FuelExhausted):
-            LiveSession(CRASHY, budget=Budget(fuel=5))
+            LiveSession(CRASHY, budget=Budget(fuel=5), backend="tree")
 
     def test_fuel_budget_roomy_enough_passes(self):
         session = LiveSession(CRASHY, budget=Budget(fuel=100_000))

@@ -76,7 +76,7 @@ class TestFaultPlan:
 
 
 def chaotic_session(rates, fault_policy="record", budget=None, plan=None,
-                    **plan_kwargs):
+                    backend=None, **plan_kwargs):
     plan = plan or FaultPlan(rates=rates, **plan_kwargs)
     injector = FaultInjector(plan, tracer=Tracer())
     session = LiveSession(
@@ -87,6 +87,7 @@ def chaotic_session(rates, fault_policy="record", budget=None, plan=None,
         budget=budget,
         chaos=injector,
         tracer=injector.tracer,
+        backend=backend,
     )
     return session, injector
 
@@ -118,15 +119,19 @@ class TestChaosCategories:
     def test_fuel_squeeze_exhausts_real_work(self):
         # rate 1.0: the squeeze fires on the very first evaluator run —
         # the boot render — and the machine itself runs out of fuel
-        # mid-flight, exactly like a genuine runaway program.
+        # mid-flight, exactly like a genuine runaway program.  The
+        # squeeze is in tree-machine steps (one per node); the compiled
+        # machine charges only function applications and this page
+        # makes none.
         with pytest.raises(FuelExhausted):
             chaotic_session(
                 {"fuel": 1.0}, fault_policy="raise", fuel_squeeze=3,
+                backend="tree",
             )
 
     def test_fuel_squeeze_recorded_keeps_the_session_alive(self):
         session, injector = chaotic_session(
-            {"fuel": 1.0}, fuel_squeeze=3, max_faults=1,
+            {"fuel": 1.0}, fuel_squeeze=3, max_faults=1, backend="tree",
         )
         assert injector.counts["fuel"] == 1
         assert any(

@@ -108,6 +108,16 @@ class TestEviction:
         assert html_after == html_before
         assert generation_after == generation  # same bytes, same gen
 
+    def test_evicted_sessions_drop_their_html(self):
+        host = make_host()
+        token = host.create(title="app")
+        html_before, generation, _ = host.render(token)
+        host.evict(token)
+        assert host._entries[token].html is None
+        html_after, generation_after, modified = host.render(token)
+        assert modified and html_after == html_before
+        assert generation_after == generation
+
     def test_stats_report_pool_shape(self):
         host = make_host(pool_size=2)
         for _ in range(5):

@@ -35,11 +35,11 @@ class TestPipeline:
         assert caught.value.span is not None
         assert caught.value.span.start.line == 4
 
-    def test_compiles_are_independent(self):
+    def test_compiles_of_one_source_are_interned(self):
         first = compile_source(COUNTER)
         second = compile_source(COUNTER)
-        assert first.code == second.code or True  # fresh names may differ
-        assert first is not second
+        assert first is second
+        assert compile_source(COUNTER, {"x": lambda services: 0}) is not first
 
 
 class TestExterns:

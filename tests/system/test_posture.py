@@ -47,3 +47,69 @@ def test_deleted_knobs_are_rejected(knob):
     code = compile_source(COUNTER).code
     with pytest.raises(TypeError):
         System(code, **{knob: True})
+
+
+# -- §5 box reuse keeps navigation metadata ------------------------------------
+
+RENUMBERING = '''\
+global n : number = 0
+
+page start()
+  render
+{hidden}    boxed
+      post "x"
+    boxed
+      post "x"
+'''
+
+HIDDEN = '''\
+    if n > 5 then
+      boxed
+        post "hidden"
+'''
+
+
+def _every_path(tree, path=()):
+    yield path
+    for index, _ in enumerate(tree.children()):
+        yield from _every_path(tree.children()[index], path + (index,))
+
+
+def _metadata(tree):
+    return [
+        (path, box.box_id, box.occurrence) for path, box in tree.walk()
+    ]
+
+
+def test_edit_that_renumbers_boxes_shows_the_new_ids():
+    # Inserting a boxed statement above two equal-looking boxes shifts
+    # their ids without changing what they show; box reuse must not put
+    # the old ids back on screen (select_box would then pick the wrong
+    # statement).
+    from repro.live.session import LiveSession
+    from repro.render.html_backend import render_html
+
+    before = RENUMBERING.format(hidden="")
+    after = RENUMBERING.format(hidden=HIDDEN)
+    production = LiveSession(before)
+    oracle = LiveSession(before, faithful=True)
+    for session in (production, oracle):
+        assert session.edit_source(after).applied
+    assert _metadata(production.display) == _metadata(oracle.display)
+    assert render_html(production.display) == render_html(oracle.display)
+    for path in _every_path(oracle.display):
+        chosen = production.select_box(path)
+        expected = oracle.select_box(path)
+        if expected is None:
+            assert chosen is None
+        else:
+            assert (chosen.box_id, chosen.span, chosen.paths) == (
+                expected.box_id, expected.span, expected.paths
+            )
+    second = production.select_box((1,))
+    assert second.span.start.line > production.select_box((0,)).span.start.line
+
+
+def test_reused_display_keeps_metadata_of_every_render():
+    system, first = rendered_twice()
+    assert _metadata(system.display) == _metadata(first)
