@@ -45,7 +45,11 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import append_bench_record  # noqa: E402
+from conftest import (  # noqa: E402
+    append_bench_record,
+    gate_arguments,
+    run_label,
+)
 
 from repro.obs.histo import percentile
 from repro.apps.gallery import function_gallery_source
@@ -314,25 +318,14 @@ def test_cluster_beats_single_process_via_shared_memo():
 
 
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small CI-sized run (24 sessions of a 10x5 gallery)",
+    args = gate_arguments(
+        argv, __doc__,
+        quick="small CI-sized run (24 sessions of a 10x5 gallery)",
+        check="CI gate: run quick and fail unless cluster-4 beats "
+              "single-process by {:.1f}x within this run".format(
+                  CHECK_RATIO_FLOOR
+              ),
     )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI gate: run quick and fail unless cluster-4 beats "
-             "single-process by {:.1f}x within this run".format(
-                 CHECK_RATIO_FLOOR
-             ),
-    )
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help="record this run as the committed baseline",
-    )
-    args = parser.parse_args(argv)
     if args.check:
         results, summary = run_gate("quick")
         for result in results:
@@ -358,7 +351,7 @@ def main(argv=None):
         results, summary = run_suite(
             sessions=32, rows=12, cols=6, drivers=4
         )
-    label = "baseline" if args.baseline else ("quick" if args.quick else "full")
+    label = run_label(args)
     for result in results:
         print(describe(result))
         record(result, label)

@@ -30,6 +30,13 @@ Runs three ways::
     PYTHONPATH=src python benchmarks/bench_compile.py --quick     # CI
     PYTHONPATH=src python benchmarks/bench_compile.py --check     # CI gate
 
+One more case is history only, never gated: ``one_decl_edit`` times
+compiling the mortgage app after a one-declaration edit (the paper's
+I2, toggled on and off) through ``compile_source`` — which reuses every
+declaration compiled before (:mod:`repro.surface.decls`) — against
+``compile_fresh``, the whole pipeline.  ``--quick`` and full runs
+record it; ``--check`` does not run it.
+
 ``--check`` is the gate: the ``listings`` tree/compiled p50 speedup
 must stay at or above :data:`SPEEDUP_FLOOR` (2.0 — the ISSUE's
 acceptance criterion), and no workload's speedup may regress more than
@@ -44,14 +51,25 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import append_bench_record, latest_baselines  # noqa: E402
+from conftest import (  # noqa: E402
+    append_bench_record,
+    gate_arguments,
+    latest_baselines,
+    run_label,
+)
 
 from repro.obs.histo import percentile
 from repro.apps.gallery import function_gallery_source
-from repro.apps.mortgage import BASE_SOURCE, compile_mortgage
+from repro.apps.mortgage import (
+    BASE_SOURCE,
+    apply_i2,
+    compile_mortgage,
+    host_impls,
+)
 from repro.incremental.store import MemoStore
 from repro.stdlib.web import make_services
-from repro.surface.compile import compile_source
+from repro.surface import compile as surface_compile
+from repro.surface.compile import compile_fresh, compile_source
 from repro.system.transitions import System
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_compile.json"
@@ -150,6 +168,37 @@ def run_workload(name, rounds=40):
     }
 
 
+def run_one_decl_edit(rounds=40):
+    """Incremental vs whole-pipeline compile of a one-declaration edit.
+
+    Rounds alternate the base app and its I2 edit, the two paths taking
+    turns.  The intern table is emptied before each incremental compile
+    so it compiles (reusing the unchanged declarations) instead of
+    returning a program interned earlier.
+    """
+    impls = host_impls()
+    variants = (BASE_SOURCE, apply_i2(BASE_SOURCE))
+    timings = {"incremental": [], "fresh": []}
+    for step in range(rounds + 2):
+        source = variants[step % 2]
+        surface_compile._INTERNED.clear()
+        for path, compile_ in (("incremental", compile_source),
+                               ("fresh", compile_fresh)):
+            started = time.perf_counter()
+            compile_(source, impls)
+            if step >= 2:  # both variants' declarations are cached
+                timings[path].append(time.perf_counter() - started)
+    result = {"workload": "one_decl_edit", "rounds": rounds}
+    for path, values in timings.items():
+        values.sort()
+        result[path + "_p50_seconds"] = percentile(values, 0.50)
+        result[path + "_p95_seconds"] = percentile(values, 0.95)
+    result["speedup_p50"] = (
+        result["fresh_p50_seconds"] / result["incremental_p50_seconds"]
+    )
+    return result
+
+
 def record(result, label):
     """Append one JSONL measurement to BENCH_compile.json."""
     append_bench_record(
@@ -214,24 +263,20 @@ def test_gallery_compiled_is_faster():
     record(result, "suite")
 
 
-def main(argv=None):
-    import argparse
+def test_one_decl_edit_is_recorded():
+    result = run_one_decl_edit(rounds=8)
+    assert result["incremental_p50_seconds"] > 0.0, result
+    append_bench_record(BENCH_PATH, "compile_one_decl_edit", "suite",
+                        **result)
 
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small CI-sized run (fewer rounds)",
+
+def main(argv=None):
+    args = gate_arguments(
+        argv, __doc__,
+        quick="small CI-sized run (fewer rounds)",
+        check="enforce the 2x listings floor and compare against the "
+              "committed baselines; exit 1 on failure",
     )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="enforce the 2x listings floor and compare against the "
-             "committed baselines; exit 1 on failure",
-    )
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help="record the results as the committed baseline",
-    )
-    args = parser.parse_args(argv)
     rounds = 12 if (args.quick or args.check) else 40
 
     results = [
@@ -255,11 +300,19 @@ def main(argv=None):
             print("check:", message)
         return 0 if ok else 1
 
-    label = (
-        "baseline" if args.baseline else "quick" if args.quick else "full"
-    )
+    label = run_label(args)
     for result in results:
         record(result, label)
+    edit = run_one_decl_edit(rounds=rounds)
+    print(
+        "one_decl_edit: compile_fresh p50 {fresh:.2f}ms → incremental p50 "
+        "{incremental:.2f}ms (speedup {speedup:.2f}x)".format(
+            fresh=edit["fresh_p50_seconds"] * 1e3,
+            incremental=edit["incremental_p50_seconds"] * 1e3,
+            speedup=edit["speedup_p50"],
+        )
+    )
+    append_bench_record(BENCH_PATH, "compile_one_decl_edit", label, **edit)
     return 0
 
 

@@ -44,7 +44,12 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import append_bench_record, latest_baselines  # noqa: E402
+from conftest import (  # noqa: E402
+    append_bench_record,
+    gate_arguments,
+    latest_baselines,
+    run_label,
+)
 
 from repro.obs.histo import percentile
 from repro.apps.gallery import function_gallery_source
@@ -218,23 +223,12 @@ def test_listings_warm_edit_reuses_every_entry():
 
 
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small CI-sized run (fewer rounds)",
+    args = gate_arguments(
+        argv, __doc__,
+        quick="small CI-sized run (fewer rounds)",
+        check="compare against the committed baseline records; "
+              "exit 1 on a >20% warm/cold ratio regression",
     )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against the committed baseline records; "
-             "exit 1 on a >20% warm/cold ratio regression",
-    )
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help="record the results as the committed baseline",
-    )
-    args = parser.parse_args(argv)
     rounds = 12 if (args.quick or args.check) else 40
 
     results = [
@@ -262,9 +256,7 @@ def main(argv=None):
             print("check:", message)
         return 0 if ok else 1
 
-    label = (
-        "baseline" if args.baseline else "quick" if args.quick else "full"
-    )
+    label = run_label(args)
     for result in results:
         record(result, label)
     return 0

@@ -39,7 +39,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import (  # noqa: E402
-    OBS_PATH, append_bench_record, latest_baselines,
+    OBS_PATH,
+    append_bench_record,
+    gate_arguments,
+    latest_baselines,
+    run_label,
 )
 
 from repro.api import Tracer
@@ -200,24 +204,13 @@ def test_instrumentation_never_doubles_the_live_loop():
 
 
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small CI-sized run (fewer taps)",
+    args = gate_arguments(
+        argv, __doc__,
+        quick="small CI-sized run (fewer taps)",
+        check="CI gate: fail if instrumentation overhead exceeds the "
+              "{:.1f}x ceiling or regresses >25% past the committed "
+              "baseline".format(OVERHEAD_CEILING),
     )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="CI gate: fail if instrumentation overhead exceeds the "
-             "{:.1f}x ceiling or regresses >25%% past the committed "
-             "baseline".format(OVERHEAD_CEILING),
-    )
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help="record this run as the committed baseline",
-    )
-    args = parser.parse_args(argv)
     rounds = 120 if (args.quick or args.check) else 300
 
     if args.check:
@@ -230,9 +223,7 @@ def main(argv=None):
 
     result = run_workload(rounds=rounds)
     print(describe(result))
-    label = (
-        "baseline" if args.baseline else "quick" if args.quick else "full"
-    )
+    label = run_label(args)
     record(result, label)
     return 0
 

@@ -41,7 +41,12 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import append_bench_record, latest_baselines  # noqa: E402
+from conftest import (  # noqa: E402
+    append_bench_record,
+    gate_arguments,
+    latest_baselines,
+    run_label,
+)
 
 from repro.apps.counter import SOURCE as COUNTER
 from repro.obs.histo import percentile
@@ -215,25 +220,14 @@ def test_breaker_search_always_finds_a_repair():
 
 
 def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small CI-sized run (fewer trials)",
+    args = gate_arguments(
+        argv, __doc__,
+        quick="small CI-sized run (fewer trials)",
+        check="compare found rates against the committed baselines; "
+              "exit 1 below {:.0%} or below the baseline rate".format(
+                  MIN_FOUND_RATE
+              ),
     )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare found rates against the committed baselines; "
-             "exit 1 below {:.0%} or below the baseline rate".format(
-                 MIN_FOUND_RATE
-             ),
-    )
-    parser.add_argument(
-        "--baseline", action="store_true",
-        help="record the results as the committed baseline",
-    )
-    args = parser.parse_args(argv)
     trials = 5 if (args.quick or args.check) else 15
 
     results = [run_workload(name, trials=trials) for name in WORKLOADS]
@@ -260,9 +254,7 @@ def main(argv=None):
             print("check:", message)
         return 0 if ok else 1
 
-    label = (
-        "baseline" if args.baseline else "quick" if args.quick else "full"
-    )
+    label = run_label(args)
     for result in results:
         record(result, label)
     return 0

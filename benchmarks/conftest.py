@@ -19,10 +19,14 @@ lines back (skipping blanks and torn tails), and
 the CI ``--check`` gates compare against.  Bench scripts import these
 instead of hand-rolling JSONL (they run both as scripts and under
 pytest, so they put this directory on ``sys.path`` first).
+:func:`gate_arguments` parses the ``--quick``/``--check``/``--baseline``
+flags the gated benches share, and :func:`run_label` names the record a
+run appends.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import platform
 import sys
@@ -91,6 +95,34 @@ def read_bench_records(path, name=None, label=None):
                 continue
             records.append(entry)
     return records
+
+
+def gate_arguments(argv, description, quick, check):
+    """Parse the flags of a gated bench script.
+
+    ``--quick`` is a small CI-sized run, ``--check`` the CI gate (exit 1
+    on a regression) and ``--baseline`` records the run as the committed
+    baseline; ``quick`` and ``check`` are the bench's help texts (plain
+    text: a ``%`` in them is escaped for argparse here).
+    """
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--quick", action="store_true",
+                        help=quick.replace("%", "%%"))
+    parser.add_argument("--check", action="store_true",
+                        help=check.replace("%", "%%"))
+    parser.add_argument(
+        "--baseline", action="store_true",
+        help="record the results as the committed baseline",
+    )
+    return parser.parse_args(argv)
+
+
+def run_label(args):
+    """The label of the records a run appends (see
+    :func:`append_bench_record`)."""
+    if args.baseline:
+        return "baseline"
+    return "quick" if args.quick else "full"
 
 
 def latest_baselines(path, name, key="workload"):

@@ -135,27 +135,27 @@ def _call_sites(expr, tail, out):
             _call_sites(child, False, out)
 
 
-def _recursive_components(bodies, eligible):
+def _recursive_components(sites, eligible):
     """name → its call-graph component, for functions that need a stack.
 
-    ``bodies`` maps each function with a lambda body to that lambda.  A
+    ``sites`` maps each function with a lambda body to the
+    ``(callee, tail)`` call sites of that body (:func:`_call_sites`).  A
     strongly connected component of the direct-call graph needs the
     explicit stack when one of its members makes a non-tail call to a
     member — a memoized call counts as non-tail, since the render memo
     records the callee's boxes after it returns.  Components made only
     of tail calls (every surface loop) keep the plain trampoline.
     """
-    edges = {}
-    for name, lam in bodies.items():
-        sites = []
-        _call_sites(lam.body, True, sites)
-        edges[name] = [
+    edges = {
+        name: [
             (callee, tail and callee not in eligible)
-            for callee, tail in sites
-            if callee in bodies
+            for callee, tail in body_sites
+            if callee in sites
         ]
+        for name, body_sites in sites.items()
+    }
     reach = {}
-    for name in bodies:
+    for name in sites:
         seen = set()
         pending = [callee for callee, _ in edges[name]]
         while pending:
@@ -165,7 +165,7 @@ def _recursive_components(bodies, eligible):
                 pending.extend(target for target, _ in edges[callee])
         reach[name] = seen
     components = {}
-    for name in bodies:
+    for name in sites:
         if name in components or name not in reach[name]:
             continue
         members = frozenset(

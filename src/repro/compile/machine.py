@@ -3,7 +3,12 @@
 A code version is compiled **once per process**: :func:`compiled_unit`
 caches one :class:`CompiledUnit` on the immutable
 :class:`~repro.core.defs.Code` value (per native-implementation map),
-and every session running that value shares it.  A :class:`Compiled`
+and every session running that value shares it.  Within a unit, each
+definition's closures are kept per definition object and the context
+they read — the global slot layout, the native signatures, the
+definition's recursive component and the facts of the functions it
+names — so a new version reuses the closures of every definition an
+edit left alone.  A :class:`Compiled`
 evaluator is the thin per-session binding: the shared unit plus the
 session's natives, services, memo view and tracer.  Compilation lowers
 every expression to a Python closure ``fn(rt, env) -> value`` where
@@ -64,7 +69,7 @@ from __future__ import annotations
 
 from ..boxes.tree import Box, make_root
 from ..core import ast
-from ..core.defs import Code
+from ..core.defs import Code, FunDef, PageDef, context_token, def_derived
 from ..core.effects import PURE, RENDER, STATE
 from ..core.errors import FuelExhausted, ReproError, StuckExpression
 from ..core.prims import PRIM_SIGS
@@ -77,6 +82,7 @@ from ..resilience.supervisor import Budget
 from .calls import (
     RecursionCompiler,
     _Call,
+    _call_sites,
     _run_stack,
     _invoke,
     _recursive_components,
@@ -126,15 +132,36 @@ class _Frame:
         self.size += 1
         return index
 
-def _definition_lams(definition):
-    """Every lambda node in one definition's expressions."""
+def _definition_shape(definition):
+    """What building a unit needs of one definition alone, in one walk.
+
+    Returns ``(lams, refs, bare, sites)``: its lambda nodes by id, the
+    names its ``FunRef``\\ s name, whether a ``FunRef`` appears other
+    than as a callee (its unit then captures the referenced body itself),
+    and — for a function with a lambda body — its direct call sites.
+    """
+    lams = {}
+    refs = set()
+    funrefs = calls = 0
     for expr in (
         getattr(definition, field) for field in definition.__slots__
     ):
         if isinstance(expr, ast.Expr):
             for node in ast.walk(expr):
-                if type(node) is ast.Lam:
-                    yield node
+                kind = type(node)
+                if kind is ast.Lam:
+                    lams[id(node)] = node
+                elif kind is ast.FunRef:
+                    refs.add(node.name)
+                    funrefs += 1
+                elif kind is ast.App and type(node.fn) is ast.FunRef:
+                    calls += 1
+    sites = None
+    body = getattr(definition, "body", None)
+    if isinstance(definition, FunDef) and isinstance(body, ast.Lam):
+        sites = []
+        _call_sites(body.body, True, sites)
+    return lams, frozenset(refs), funrefs > calls, sites
 
 
 def compiled_unit(code, natives=EMPTY_NATIVES):
@@ -185,11 +212,7 @@ class CompiledUnit(RecursionCompiler):
         #: units are worth keeping.  Lambdas built at run time (a handler
         #: closing over locals, an edit thunk) are new objects on every
         #: render or keystroke, so their units are compiled per use.
-        self._code_lams = {
-            id(node): node
-            for definition in code
-            for node in _definition_lams(definition)
-        }
+        self._code_lams = {}
         #: id(lam) → (run, frame_size) for applied code lambdas.  Bounded
         #: by the code; written without a lock, since racing threads
         #: compile equivalent units and ``setdefault`` keeps one.
@@ -197,19 +220,75 @@ class CompiledUnit(RecursionCompiler):
         #: The recursive component whose body is being compiled (only
         #: ever set during construction).
         self._scc = None
-        bodies = {
-            name: definition.body
-            for name, definition in self._functions.items()
-            if isinstance(definition.body, ast.Lam)
+        shapes = {
+            definition.name: def_derived(
+                definition, "unit_shape", _definition_shape
+            )
+            for definition in code
         }
-        components = _recursive_components(bodies, self._eligible)
-        for name, lam in bodies.items():
-            self.units[name] = self._function_unit(lam, components.get(name))
-        for page in code.pages():
-            if isinstance(page.init, ast.Lam):
-                self._lam_unit(page.init)
-            if isinstance(page.render, ast.Lam):
-                self._lam_unit(page.render)
+        components = _recursive_components(
+            {
+                name: shape[3]
+                for name, shape in shapes.items()
+                if shape[3] is not None
+            },
+            self._eligible,
+        )
+        # A definition's units read the global slot layout, the native
+        # signatures, its recursive component and a few facts about the
+        # functions it names — so a definition reused from an earlier
+        # code version keeps its units while those are unchanged.
+        layout = context_token((
+            tuple(self._init_of.items()),
+            tuple(
+                (name, natives.signature(name))
+                for name in sorted(natives.names())
+            ),
+        ))
+        for definition in code:
+            lams, refs, bare, sites = shapes[definition.name]
+            self._code_lams.update(lams)
+            if sites is not None:
+                component = components.get(definition.name)
+                key = ("function_unit", layout, component,
+                       self._callee_facts(refs))
+
+                def build(definition, component=component):
+                    return self._function_unit(definition.body, component)
+            elif isinstance(definition, PageDef):
+                key = ("page_units", layout, self._callee_facts(refs))
+                build = self._page_units
+            else:
+                continue
+            built = build(definition) if bare else def_derived(
+                definition, key, build
+            )
+            if sites is not None:
+                self.units[definition.name] = built
+            else:
+                self._dyn_units.update(built)
+
+    def _callee_facts(self, names):
+        """What compiling a call reads of each named function: whether it
+        exists with a lambda body, and whether calls to it are memoized."""
+        facts = []
+        for name in sorted(names):
+            definition = self._functions.get(name)
+            facts.append((
+                name,
+                None if definition is None
+                else isinstance(definition.body, ast.Lam),
+                name in self._eligible,
+            ))
+        return tuple(facts)
+
+    def _page_units(self, page):
+        """The units of a page's init and render lambdas, by id."""
+        return {
+            id(lam): self._compile_lam(lam)
+            for lam in (page.init, page.render)
+            if isinstance(lam, ast.Lam)
+        }
 
     # -- compiled-unit management ---------------------------------------------
 
@@ -249,12 +328,15 @@ class CompiledUnit(RecursionCompiler):
         hit = self._dyn_units.get(key)
         if hit is not None:
             return hit
-        frame = _Frame(1)
-        scope = {lam.param: 0}
-        unit = self._compile(lam.body, scope, frame, True), frame.size
+        unit = self._compile_lam(lam)
         if self._code_lams.get(key) is lam:
             unit = self._dyn_units.setdefault(key, unit)
         return unit
+
+    def _compile_lam(self, lam):
+        frame = _Frame(1)
+        scope = {lam.param: 0}
+        return self._compile(lam.body, scope, frame, True), frame.size
 
     def _apply_lam(self, lam, value, rt):
         """Apply a lambda value (trampolined; charges one application)."""

@@ -15,11 +15,14 @@ in-place mutation of a running program's code.
 
 from __future__ import annotations
 
+import itertools
+import threading
 from dataclasses import dataclass
 
 from . import ast
 from .effects import Effect, RENDER, STATE
 from .errors import ReproError
+from .lru import LruTable
 from .types import FunType, Type, UNIT, fun
 
 
@@ -227,3 +230,67 @@ class Code:
 
 #: The empty program ``ε``.
 EMPTY_CODE = Code()
+
+
+# ---------------------------------------------------------------------------
+# Facts derived from one definition
+# ---------------------------------------------------------------------------
+
+#: How many per-definition facts the process keeps (:func:`def_derived`).
+DEF_DERIVED_BOUND = 2048
+
+_DEF_FACTS = LruTable(DEF_DERIVED_BOUND)
+
+
+def def_derived(definition, key, build):
+    """``build(definition)``, computed once per definition *object* and
+    ``key``, then kept in a bounded per-process table.
+
+    The incremental front end (:mod:`repro.surface.decls`) hands every
+    unchanged declaration's core definitions to the next code version as
+    the same objects, so work that reads one definition plus a little
+    code-wide context — its core verdict, its compiled function unit,
+    its memo facts — is keyed by the definition's identity and that
+    context (``key``, see :func:`context_token`) and survives the edit.
+    Identity, not equality: structurally equal definitions may differ in
+    ``box_id``.  The table holds each definition it has a fact for, so
+    no id is reused while its entry lives.  Racing builds may both run;
+    the first one stored is returned to both.
+    """
+    slot = (id(definition), key)
+    entry = _DEF_FACTS.get(slot)
+    if entry is None:
+        entry = _DEF_FACTS.put(slot, (definition, build(definition)))
+    return entry[1]
+
+
+#: How many distinct contexts :func:`context_token` remembers.
+CONTEXT_BOUND = 1024
+_CONTEXTS = {}
+_CONTEXT_IDS = itertools.count(1)
+_CONTEXT_LOCK = threading.Lock()
+
+
+def context_token(context):
+    """A small integer that stands for the hashable value ``context``.
+
+    Equal contexts get one token, so a :func:`def_derived` key can name
+    a large code-wide context (a signature table, a slot layout) without
+    hashing it again per definition.  Past :data:`CONTEXT_BOUND` the
+    table starts over with new tokens, which costs misses, never a wrong
+    hit.
+    """
+    with _CONTEXT_LOCK:
+        token = _CONTEXTS.get(context)
+        if token is None:
+            if len(_CONTEXTS) >= CONTEXT_BOUND:
+                _CONTEXTS.clear()
+            token = _CONTEXTS[context] = next(_CONTEXT_IDS)
+        return token
+
+
+def clear_def_facts():
+    """Forget every per-definition fact and context token."""
+    _DEF_FACTS.clear()
+    with _CONTEXT_LOCK:
+        _CONTEXTS.clear()

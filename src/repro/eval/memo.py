@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from ..boxes.tree import Box
 from ..core import ast
-from ..core.defs import Code
+from ..core.defs import Code, def_derived
 from ..core.effects import RENDER
 from ..core.errors import ReproError
 from ..core.prims import PRIM_SIGS
@@ -80,21 +80,26 @@ def _function_facts(code):
     """name → ``(global reads, native calls, FunRef callees)`` of each
     function's own body, not yet closed over calls.
 
-    One walk per body collects all three; :func:`_transitive` closes a
+    One walk per body collects all three, once per definition object
+    (:func:`~repro.core.defs.def_derived`); :func:`_transitive` closes a
     fact over the callee graph.
     """
-    facts = {}
-    for definition in code.functions():
-        reads, natives, callees = set(), set(), set()
-        for node in ast.walk(definition.body):
-            if isinstance(node, ast.GlobalRead):
-                reads.add(node.name)
-            elif isinstance(node, ast.FunRef):
-                callees.add(node.name)
-            elif isinstance(node, ast.Prim) and node.op not in PRIM_SIGS:
-                natives.add(node.op)
-        facts[definition.name] = (reads, natives, callees)
-    return facts
+    return {
+        definition.name: def_derived(definition, "memo_facts", _body_facts)
+        for definition in code.functions()
+    }
+
+
+def _body_facts(definition):
+    reads, natives, callees = set(), set(), set()
+    for node in ast.walk(definition.body):
+        if isinstance(node, ast.GlobalRead):
+            reads.add(node.name)
+        elif isinstance(node, ast.FunRef):
+            callees.add(node.name)
+        elif isinstance(node, ast.Prim) and node.op not in PRIM_SIGS:
+            natives.add(node.op)
+    return frozenset(reads), frozenset(natives), frozenset(callees)
 
 
 def _transitive(facts, which):
@@ -159,7 +164,9 @@ class MemoFacts:
     Read sets, native sets, digests and eligibility are functions of the
     code alone, so they are computed once per code version
     (:func:`memo_facts`) and shared by every session that runs it.  They
-    are never mutated after construction.
+    are never mutated after construction.  The per-function walks and
+    digest canons behind them are kept per definition object, so a new
+    version redoes them only for the definitions it changed.
     """
 
     __slots__ = ("read_sets", "native_sets", "digests", "eligible")

@@ -3,10 +3,11 @@
 A memo entry may only be replayed under new code if the function it
 caches still *means* the same thing.  Structural equality of the stored
 :class:`~repro.core.defs.FunDef` is too strict: the surface compiler
-draws fresh names (``name%N``) and loop-function names (``$for_N``)
-from per-compile counters, so an edit *earlier in the file* shifts the
-names inside an untouched later function.  The digest therefore hashes
-a **canonical form** that is invariant under those shifts:
+draws fresh names (``name%N``) and loop-function names
+(``$for_<declaration>_N``) from per-declaration counters, so renaming a
+function, or an edit earlier in its own body, renames what it
+generated.  The digest therefore hashes a **canonical form** that is
+invariant under those renamings:
 
 * bound variables are alpha-normalized to binder-depth labels, so
   ``lam x%3. x%3`` and ``lam x%7. x%7`` digest identically;
@@ -32,6 +33,7 @@ from __future__ import annotations
 import hashlib
 
 from ..core import ast
+from ..core.defs import def_derived
 
 #: Compiler-generated definitions (loop bodies) use this name prefix.
 GENERATED_PREFIX = "$"
@@ -168,6 +170,48 @@ def function_canon(name, code):
     return "".join(out)
 
 
+class _Same:
+    """A key part equal only to itself: identity, not structure."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return type(other) is _Same and other.obj is self.obj
+
+
+def _cached_canon(name, code, callees):
+    """:func:`function_canon`, kept per definition object.
+
+    The canon reads the function's own body and the bodies of the
+    generated functions it inlines, so those definitions (by identity)
+    are the key: a function reused unchanged from an earlier code version
+    with the same loop functions keeps its canon.
+    """
+    inlined = []
+    seen = set()
+    frontier = [name]
+    while frontier:
+        for callee in sorted(callees.get(frontier.pop(), ())):
+            if callee.startswith(GENERATED_PREFIX) and callee not in seen:
+                seen.add(callee)
+                inlined.append((callee, _Same(code.function(callee))))
+                frontier.append(callee)
+    definition = code.function(name)
+    if definition is None:
+        raise KeyError(name)
+    return def_derived(
+        definition,
+        ("canon", tuple(inlined)),
+        lambda definition: function_canon(name, code),
+    )
+
+
 def _callee_graph(code):
     """name → the ``FunRef`` names in each function's body."""
     return {
@@ -218,7 +262,7 @@ def code_digests(code, callees=None):
     def canon_of(fname):
         cached = canons.get(fname)
         if cached is None:
-            cached = canons[fname] = function_canon(fname, code)
+            cached = canons[fname] = _cached_canon(fname, code, callees)
         return cached
 
     digests = {}

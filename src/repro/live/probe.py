@@ -162,7 +162,7 @@ def probe_expression(session, text):
             last_problem = problem
     else:
         raise last_problem
-    lowerer = _Lowerer(env)
+    lowerer = _Lowerer(env, "probe")
     core_expr = lowerer.lower_expr(surface_expr, _LowerScope(), effect)
     if lowerer.generated:  # defensive: expressions cannot contain loops
         raise ReproError("probe expressions cannot generate functions")

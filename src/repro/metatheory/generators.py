@@ -483,3 +483,82 @@ def typed_expressions(draw, effect=PURE, depth=3):
     type_ = draw(st.sampled_from((NUMBER, STRING, UNIT)))
     expr = draw(expressions_of(code, {}, type_, effect, depth))
     return code, expr, type_
+
+
+@st.composite
+def surface_declarations(draw, max_globals=3, max_functions=3):
+    """Strategy for a well-typed *surface* program, as the list of its
+    top-level declaration texts (join them for the source).
+
+    Number globals ``g0 …``, pure helpers ``p0 …`` (each may call an
+    earlier one), render functions ``r0 …`` (loops, ``boxed``, box
+    attributes, calls to earlier ones) and a ``start`` page whose render
+    body boxes, posts, registers tap handlers that write globals and
+    calls render functions.  Some declarations carry trailing blank or
+    comment lines.  Edits that insert, delete, move or reorder these
+    texts exercise the incremental front end
+    (:mod:`repro.surface.decls`).
+    """
+    n_globals = draw(st.integers(1, max_globals))
+    n_pure = draw(st.integers(0, max_functions))
+    n_render = draw(st.integers(0, max_functions))
+    decls = [
+        "global g{} : number = {}\n".format(i, draw(st.integers(0, 9)))
+        for i in range(n_globals)
+    ]
+
+    def number(limit):
+        """A number expression over the globals and helpers ``< limit``."""
+        choice = draw(st.integers(0, 2 if limit else 1))
+        if choice == 0:
+            return str(draw(st.integers(0, 9)))
+        if choice == 1:
+            return "g{}".format(draw(st.integers(0, n_globals - 1)))
+        return "p{}({})".format(
+            draw(st.integers(0, limit - 1)),
+            "g{}".format(draw(st.integers(0, n_globals - 1))),
+        )
+
+    for i in range(n_pure):
+        decls.append(
+            "fun p{}(x : number) : number\n  return x * {} + {}\n".format(
+                i, draw(st.integers(1, 3)), number(i)
+            )
+        )
+
+    def statements(indent, renders):
+        pad = " " * indent
+        out = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.integers(0, 4 if renders else 3))
+            if kind == 0:
+                out.append('{0}boxed\n{0}  post "v " || {1}\n'.format(
+                    pad, number(n_pure)))
+            elif kind == 1:
+                out.append(
+                    "{0}for i = 1 to {1} do\n{0}  boxed\n"
+                    '{0}    post "row " || i\n'.format(
+                        pad, draw(st.integers(0, 3))))
+            elif kind == 2:
+                out.append(
+                    "{0}boxed\n{0}  box.margin := {1}\n{0}  post {2}\n"
+                    "{0}  on tap do\n{0}    g{3} := g{3} + 1\n".format(
+                        pad, draw(st.integers(0, 2)), number(n_pure),
+                        draw(st.integers(0, n_globals - 1))))
+            elif kind == 3:
+                out.append("{0}if g0 > {1} then\n{0}  boxed\n"
+                           '{0}    post "big"\n'.format(
+                               pad, draw(st.integers(0, 5))))
+            else:
+                out.append("{}r{}({})\n".format(
+                    pad, draw(st.integers(0, renders - 1)),
+                    number(n_pure)))
+        return "".join(out)
+
+    for i in range(n_render):
+        decls.append("fun r{}(n : number)\n{}".format(
+            i, statements(2, i)))
+    decls.append("page start()\n  render\n{}".format(
+        statements(4, n_render)))
+    trailers = ("", "", "\n", "// a comment\n", "\n  // indented\n\n")
+    return [decl + draw(st.sampled_from(trailers)) for decl in decls]

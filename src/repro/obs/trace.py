@@ -73,6 +73,12 @@ CATALOG = (
     "incremental.update_misses",
     "incremental.replayed_boxes",
     "incremental.html_short_circuits",
+    # repro.surface — the compile pipeline (docs/PERF.md): programs
+    # served whole from the intern table, and the declarations the
+    # compiles that miss it reuse or compile.
+    "surface.intern_hits",
+    "surface.decls_reused",
+    "surface.decls_compiled",
     # repro.cluster — sharded workers (docs/SERVER.md).  Routing/
     # liveness counters live on the front and supervisor tracers; the
     # shared-memo counter on each worker's.

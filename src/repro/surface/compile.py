@@ -24,35 +24,71 @@ before all get the *same* :class:`CompiledProgram` — its ``Code``, core
 verdict and the per-version facts cached on that ``Code`` (memo facts,
 the compiled closures) included.  Nothing in a compiled program is
 mutated after it is built, apart from those caches on its ``Code``.
+
+A source the table does not hold is compiled one top-level declaration
+at a time (:mod:`repro.surface.decls`): a declaration compiled before
+with the same text, first box id and program interface is reused — its
+annotated AST, core definitions (the same objects) and sourcemap entries
+— so a live edit parses, checks and lowers only what it changed.  The
+core check, the compiled unit and the memo facts of the new ``Code``
+then reuse the per-definition work of every reused definition
+(:func:`repro.core.defs.def_derived`): one changed declaration costs one
+declaration's verdict, closures and digests.  :func:`compile_fresh`
+stays the uncached whole-program pipeline — the reference, and the path
+every source with an error takes, so diagnostics never depend on what
+was compiled before.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-
+from ..core.defs import Code
 from ..core.errors import ReproError, TypeProblem
+from ..core.lru import LruTable
 from ..eval.natives import NativeTable
 from ..obs.trace import NULL_TRACER
 from ..typing.program import code_problems
+from . import decls
 from .lower import lower_program
 from .parser import parse
 from .sourcemap import SourceMap, build_sourcemap
 from .typecheck import typecheck_problems
 
 
-@dataclass
 class CompiledProgram:
-    """Everything the runtime and the live IDE need about one program."""
+    """Everything the runtime and the live IDE need about one program.
 
-    source: str
-    program: object           # the annotated surface AST
-    env: object               # ProgramEnv
-    code: object              # core Code
-    natives: NativeTable
-    sourcemap: SourceMap
-    generated_functions: tuple
+    ``code`` (core), ``natives``, ``sourcemap`` and the names of the
+    ``generated_functions`` are what running and editing read.
+    ``program`` (the annotated surface AST) and ``env`` (its
+    :class:`~repro.surface.resolve.ProgramEnv`) serve tools such as
+    probes; a program assembled from reused declarations builds them on
+    first read (see :mod:`repro.surface.decls`).
+    """
+
+    def __init__(self, source, code, natives, sourcemap,
+                 generated_functions, surface):
+        self.source = source
+        self.code = code
+        self.natives = natives
+        self.sourcemap = sourcemap
+        self.generated_functions = generated_functions
+        #: ``(program, env)``, or a function that builds the pair.
+        self._surface = surface
+
+    @property
+    def program(self):
+        return self._built_surface()[0]
+
+    @property
+    def env(self):
+        return self._built_surface()[1]
+
+    def _built_surface(self):
+        surface = self._surface
+        if callable(surface):
+            # Racing first reads may both build it; either pair is whole.
+            surface = self._surface = surface()
+        return surface
 
 
 #: How many compiled programs the per-process intern table keeps.  One
@@ -63,40 +99,7 @@ class CompiledProgram:
 INTERN_BOUND = 8
 
 
-class _InternTable:
-    """A bounded LRU map, safe to share between a host's threads."""
-
-    def __init__(self, bound):
-        self.bound = bound
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key, entry):
-        """Store ``entry`` unless a racing thread stored one first;
-        returns the stored entry."""
-        with self._lock:
-            entry = self._entries.setdefault(key, entry)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.bound:
-                self._entries.popitem(last=False)
-            return entry
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-
-_INTERNED = _InternTable(INTERN_BOUND)
+_INTERNED = LruTable(INTERN_BOUND)
 
 
 def compile_source(source, host_impls=None, tracer=NULL_TRACER):
@@ -113,7 +116,9 @@ def compile_source(source, host_impls=None, tracer=NULL_TRACER):
 
     ``tracer`` (repro.obs) records one span per pipeline phase —
     ``parse`` / ``typecheck`` / ``lower`` — so a live edit cycle can be
-    broken down end to end.
+    broken down end to end, and counts the declarations the compile
+    reused and compiled (``surface.decls_reused`` /
+    ``surface.decls_compiled``, also set on the enclosing span).
     """
     impls = tuple(sorted((host_impls or {}).items()))
     # Identities key the table; the entry holds the implementations, so
@@ -122,11 +127,38 @@ def compile_source(source, host_impls=None, tracer=NULL_TRACER):
     entry = _INTERNED.get(key)
     if entry is None:
         entry = _INTERNED.put(
-            key, (compile_fresh(source, host_impls, tracer), impls)
+            key, (_compile_incremental(source, host_impls, tracer), impls)
         )
     else:
         tracer.add("surface.intern_hits")
     return entry[0]
+
+
+def _compile_incremental(source, host_impls, tracer):
+    """The pipeline, reusing every declaration compiled before in the
+    same context (:mod:`repro.surface.decls`); any error, and any source
+    that does not split into declarations, goes to :func:`compile_fresh`
+    so the diagnostics are the whole-program ones."""
+    front = decls.front_end(source, tracer)
+    if front is None:
+        return compile_fresh(source, host_impls, tracer)
+    with tracer.span("lower"):
+        code = Code(front.definitions)
+        natives = _bind_externs(front.extern_sigs, host_impls or {})
+        _check_core(code, natives)
+    tracer.add("surface.decls_reused", front.reused)
+    tracer.add("surface.decls_compiled", front.compiled)
+    tracer.annotate_current(
+        decls_reused=front.reused, decls_compiled=front.compiled
+    )
+    return CompiledProgram(
+        source=source,
+        code=code,
+        natives=natives,
+        sourcemap=SourceMap(front.entries),
+        generated_functions=tuple(front.generated),
+        surface=front.surface,
+    )
 
 
 def compile_fresh(source, host_impls=None, tracer=NULL_TRACER):
@@ -141,21 +173,24 @@ def compile_fresh(source, host_impls=None, tracer=NULL_TRACER):
     with tracer.span("lower"):
         lowered = lower_program(program, env)
         natives = _bind_externs(lowered.extern_sigs, host_impls or {})
-        core_issues = code_problems(lowered.code, natives)
-        if core_issues:
-            raise ReproError(
-                "internal lowering error — the lowered program fails "
-                "the core checker: {}".format(core_issues[0])
-            )
+        _check_core(lowered.code, natives)
     return CompiledProgram(
         source=source,
-        program=program,
-        env=env,
         code=lowered.code,
         natives=natives,
         sourcemap=build_sourcemap(program),
         generated_functions=tuple(lowered.generated_functions),
+        surface=(program, env),
     )
+
+
+def _check_core(code, natives):
+    core_issues = code_problems(code, natives)
+    if core_issues:
+        raise ReproError(
+            "internal lowering error — the lowered program fails "
+            "the core checker: {}".format(core_issues[0])
+        )
 
 
 def _bind_externs(extern_sigs, host_impls):

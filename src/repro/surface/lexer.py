@@ -71,8 +71,13 @@ _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _tuple = tuple.__new__
 
 
-def tokenize(source):
+def tokenize(source, start=0, end=None, line=1):
     """Lex ``source`` into a list of tokens ending with EOF.
+
+    ``start``/``end`` lex only the lines ``source[start:end]`` (``start``
+    at the start of line ``line``), with positions in ``source`` as a
+    whole: a top-level declaration lexes alone exactly as it does inside
+    its program, followed by the tokens that close it.
 
     Raises :class:`SyntaxProblem` on malformed input (bad indentation,
     unterminated strings, stray characters).
@@ -80,20 +85,19 @@ def tokenize(source):
     tokens = []
     append = tokens.append
     indents = [0]
-    size = len(source)
+    size = len(source) if end is None else end
     match = _TOKEN.match
-    offset = 0
-    line = 1
-    line_start = 0
+    offset = start
+    line_start = start
     at_line_start = True
     while offset < size:
         if at_line_start:
-            blank, indent = _LINE_START.match(source, offset).groups()
+            blank, indent = _LINE_START.match(source, offset, size).groups()
             if blank:
                 line += blank.count("\n")
                 line_start = offset + len(blank)
             offset = line_start + len(indent)
-            if offset == size or source.startswith("//", offset):
+            if offset == size or source.startswith("//", offset, size):
                 offset = size  # only blank lines and a comment remain
                 break
             at_line_start = False
@@ -113,9 +117,9 @@ def tokenize(source):
                         "inconsistent indentation (width {})".format(width),
                         span=Span(here, here),
                     )
-        found = match(source, offset)
+        found = match(source, offset, size)
         if found is None:
-            offset = _lex_other(source, offset, line, line_start, append)
+            offset = _lex_other(source, offset, size, line, line_start, append)
             continue
         kind = found.lastgroup
         start, offset = found.span(kind)
@@ -161,7 +165,7 @@ def _unescape(match):
     return _ESCAPES[match.group(1)]
 
 
-def _lex_other(source, offset, line, line_start, append):
+def _lex_other(source, offset, size, line, line_start, append):
     """Lex the one token at ``offset`` the master regex left alone.
 
     That is trailing spaces, a malformed string, or a token whose class
@@ -169,8 +173,7 @@ def _lex_other(source, offset, line, line_start, append):
     returns the offset after it; raises :class:`SyntaxProblem` for a
     character that starts no token.
     """
-    size = len(source)
-    start = _SPACES.match(source, offset).end()
+    start = _SPACES.match(source, offset, size).end()
     if start == size:
         return start
 

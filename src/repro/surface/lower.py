@@ -47,33 +47,73 @@ class LoweredProgram:
     generated_functions: list  # names of synthesized loop functions
 
 
+@dataclass
+class LoweredDecl:
+    """One declaration's share of a :class:`LoweredProgram`."""
+
+    definition: object  # its core Def; None for records and externs
+    generated: tuple    # the loop functions it generated, in order
+    extern_sig: object  # its PrimSig for an extern, else None
+
+
 def lower_program(program, env):
     """Lower a *typechecked* surface program.
 
     ``env`` must be the :class:`~repro.surface.resolve.ProgramEnv` the
-    checker annotated the AST against.
+    checker annotated the AST against.  The program's definitions come
+    in declaration order, followed by every generated loop function.
     """
-    ctx = _Lowerer(env)
     defs = []
+    generated = []
     extern_sigs = []
     for decl in program.decls:
-        if isinstance(decl, S.DGlobal):
-            defs.append(ctx.lower_global(decl))
-        elif isinstance(decl, S.DFun):
-            defs.append(ctx.lower_fun(decl))
-        elif isinstance(decl, S.DPage):
-            defs.append(ctx.lower_page(decl))
-        elif isinstance(decl, S.DExtern):
-            extern_sigs.append(ctx.extern_signature(decl))
-        elif isinstance(decl, S.DRecord):
-            pass  # records erase entirely
-        else:
-            raise ReproError("cannot lower {!r}".format(decl))
-    defs.extend(ctx.generated)
+        lowered = lower_decl(decl, env)
+        if lowered.definition is not None:
+            defs.append(lowered.definition)
+        if lowered.extern_sig is not None:
+            extern_sigs.append(lowered.extern_sig)
+        generated.extend(lowered.generated)
     return LoweredProgram(
-        Code(defs),
+        Code(defs + generated),
         extern_sigs,
-        [d.name for d in ctx.generated],
+        [d.name for d in generated],
+    )
+
+
+def lower_decl(decl, env):
+    """Lower one typechecked declaration against ``env``.
+
+    Fresh binders and loop-function names are drawn per declaration (a
+    loop function is named after its declaration), so the result depends
+    on this declaration and ``env`` alone: an edit elsewhere in the
+    program renames nothing here.
+    """
+    ctx = _Lowerer(env, getattr(decl, "name", ""))
+    definition = extern_sig = None
+    if isinstance(decl, S.DGlobal):
+        definition = ctx.lower_global(decl)
+    elif isinstance(decl, S.DFun):
+        definition = ctx.lower_fun(decl)
+    elif isinstance(decl, S.DPage):
+        definition = ctx.lower_page(decl)
+    elif isinstance(decl, S.DExtern):
+        extern_sig = extern_signature(decl, env)
+    elif not isinstance(decl, S.DRecord):  # records erase entirely
+        raise ReproError("cannot lower {!r}".format(decl))
+    return LoweredDecl(definition, tuple(ctx.generated), extern_sig)
+
+
+def extern_signature(decl, env):
+    """The native signature an ``extern fun`` declaration declares."""
+    from ..core.prims import PrimSig
+
+    sig = env.externs[decl.name]
+    return PrimSig(
+        decl.name,
+        tuple(t.to_core(env.records) for t in sig.param_stypes),
+        sig.return_stype.to_core(env.records),
+        sig.effect,
+        doc="extern fun declared at {}".format(decl.span),
     )
 
 
@@ -209,9 +249,10 @@ class _LowerScope:
 
 
 class _Lowerer:
-    def __init__(self, env):
+    def __init__(self, env, owner):
         self.env = env
         self.records = env.records
+        self.owner = owner
         self.generated = []
         self._loop_counter = 0
         self._name_counter = 0
@@ -312,18 +353,6 @@ class _Lowerer:
             arg_type,
             page_body(decl.init_block, STATE),
             page_body(decl.render_block, RENDER),
-        )
-
-    def extern_signature(self, decl):
-        from ..core.prims import PrimSig
-
-        sig = self.env.externs[decl.name]
-        return PrimSig(
-            decl.name,
-            tuple(self.core(t) for t in sig.param_stypes),
-            self.core(sig.return_stype),
-            sig.effect,
-            doc="extern fun declared at {}".format(decl.span),
         )
 
     # -- statements ------------------------------------------------------------------
@@ -534,7 +563,7 @@ class _Lowerer:
 
     def _fresh_loop_name(self, kind):
         self._loop_counter += 1
-        return "$" + "{}_{}".format(kind, self._loop_counter)
+        return "${}_{}_{}".format(kind, self.owner, self._loop_counter)
 
     def _loop_state(self, stmt, scope, kind):
         """The loop-carried surface locals: free reads ∪ mutated, ordered."""

@@ -66,13 +66,32 @@ def parse(source):
     return _Parser(tokenize(source)).parse_program()
 
 
+def parse_decl(source, start, end, line, box_start):
+    """Parse the one top-level declaration in lines ``source[start:end]``.
+
+    ``start`` is the offset of its first line (line ``line``, a keyword
+    at column 0) and ``box_start`` the ``box_id`` of its first ``boxed``
+    statement.  Spans and box ids are those of the same declaration
+    parsed as part of the whole of ``source``.  Returns ``(decl,
+    box_count, end_pos)``, ``end_pos`` being where its tokens stop — the
+    start of the next declaration.  Raises :class:`SyntaxProblem` if the
+    lines hold anything but one declaration.
+    """
+    parser = _Parser(tokenize(source, start, end, line), box_start)
+    decl = parser._parse_decl()
+    while parser._accept(NEWLINE):
+        pass
+    eof = parser._expect(EOF, what="the next declaration")
+    return decl, parser.box_counter - box_start, eof.span.end
+
+
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, box_start=0):
         # A second EOF past the lexer's own keeps ``_peek(1)`` in range:
         # the cursor never moves past the first one.
         self.tokens = tokens + [tokens[-1]]
         self.index = 0
-        self.box_counter = 0
+        self.box_counter = box_start
 
     # -- cursor helpers ----------------------------------------------------
 

@@ -75,6 +75,14 @@ class SourceMap:
 
 def build_sourcemap(program):
     """Collect every ``boxed`` statement of a parsed program."""
+    return SourceMap(
+        entry for decl in program.decls for entry in decl_entries(decl)
+    )
+
+
+def decl_entries(decl):
+    """The :class:`BoxedEntry` of every ``boxed`` statement in one
+    declaration, in document order."""
     entries = []
 
     def walk_block(block, owner):
@@ -109,15 +117,14 @@ def build_sourcemap(program):
         elif isinstance(stmt, S.SHandler):
             walk_block(stmt.body, owner)
 
-    for decl in program.decls:
-        if isinstance(decl, S.DPage):
-            if decl.init_block is not None:
-                walk_block(decl.init_block, decl.name)
-            if decl.render_block is not None:
-                walk_block(decl.render_block, decl.name)
-        elif isinstance(decl, S.DFun):
-            walk_block(decl.body, decl.name)
-    return SourceMap(entries)
+    if isinstance(decl, S.DPage):
+        if decl.init_block is not None:
+            walk_block(decl.init_block, decl.name)
+        if decl.render_block is not None:
+            walk_block(decl.render_block, decl.name)
+    elif isinstance(decl, S.DFun):
+        walk_block(decl.body, decl.name)
+    return entries
 
 
 def _body_indent(boxed_stmt):

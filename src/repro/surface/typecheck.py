@@ -137,9 +137,11 @@ def typecheck_problems(program):
         return None, [problem]
     problems = []
     try:
-        _infer_effects(program, env)
+        infer_effects(env)
     except TypeProblem as problem:
         return env, [problem]
+    for sig in env.funs.values():
+        sig.decl.effect = sig.effect
     checker = _DeclChecker(env)
     for decl in program.decls:
         try:
@@ -154,7 +156,9 @@ def typecheck_problems(program):
 # ---------------------------------------------------------------------------
 
 
-def _infer_effects(program, env):
+def infer_effects(env):
+    """Set every function signature's ``effect`` in ``env`` by the
+    fixpoint; reads the declarations' bodies and annotates nothing."""
     for sig in env.funs.values():
         sig.effect = PURE
     changed = True
@@ -165,9 +169,6 @@ def _infer_effects(program, env):
             if demanded != sig.effect:
                 sig.effect = demanded
                 changed = True
-                sig.decl.effect = demanded
-    for sig in env.funs.values():
-        sig.decl.effect = sig.effect
 
 
 def _block_effect(block, env, where):

@@ -25,12 +25,26 @@ pipeline checks the program it lowered, and the system built from it
 (construction, UPDATE) reuses the result instead of checking again.
 Code that never went through a check (hand-built, or checked under other
 native signatures) has no known verdict and is checked as before.
+
+Within a check, each definition's verdict reads only that definition and
+the code's signature table (every definition's name, kind and declared
+type, plus the native signatures), so it is kept per definition object
+and table (:func:`~repro.core.defs.def_derived`): a new code version
+that reuses a definition unchanged — the incremental front end hands
+unchanged declarations over as the same objects — checks only the rest.
 """
 
 from __future__ import annotations
 
 from ..core import ast
-from ..core.defs import Code, FunDef, GlobalDef, PageDef
+from ..core.defs import (
+    Code,
+    FunDef,
+    GlobalDef,
+    PageDef,
+    context_token,
+    def_derived,
+)
 from ..core.effects import PURE, RENDER, STATE
 from ..core.errors import TypeProblem
 from ..core.names import START_PAGE
@@ -48,9 +62,19 @@ def code_problems(code, natives=None):
     if not isinstance(code, Code):
         return [TypeProblem("not a program: {!r}".format(code))]
     checker = Checker(code, natives)
+    signatures = _signature_key(natives)
+    # A definition's verdict reads nothing of the rest of the code but
+    # its signature table, so a definition reused from an earlier code
+    # version under the same table keeps its verdict.
+    key = ("core_verdict", context_token(
+        (_definition_types(code), signatures)
+    ))
+
+    def check(definition):
+        return tuple(_check_def(checker, definition, natives))
 
     for definition in code:
-        problems.extend(_check_def(checker, definition, natives))
+        problems.extend(def_derived(definition, key, check))
 
     start = code.page(START_PAGE)
     if start is None:
@@ -68,8 +92,17 @@ def code_problems(code, natives=None):
                 rule="T-SYS",
             )
         )
-    code._verdict = (_signature_key(natives), tuple(problems))
+    code._verdict = (signatures, tuple(problems))
     return problems
+
+
+def _definition_types(code):
+    """What the checker reads of the code: each definition's name, kind
+    and declared type."""
+    return tuple(
+        (d.name, type(d), d.arg_type if isinstance(d, PageDef) else d.type)
+        for d in code
+    )
 
 
 def known_problems(code, natives=None):

@@ -16,15 +16,21 @@ from helpers import counter_core_code  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def _fresh_intern_table():
-    """Each test starts with an empty compile intern table.
+    """Each test starts with empty compile caches.
 
-    ``compile_source`` shares compiled programs process-wide; without
-    this, whether a test's compile runs the pipeline (and records its
-    spans and core checks) would depend on which tests ran before it.
+    ``compile_source`` shares compiled programs process-wide, and the
+    incremental front end shares compiled declarations; without this,
+    whether a test's compile runs the pipeline (and records its spans,
+    declaration counts and core checks) would depend on which tests ran
+    before it.
     """
+    from repro.core.defs import clear_def_facts
+    from repro.surface import decls
     from repro.surface.compile import _INTERNED
 
     _INTERNED.clear()
+    decls.clear()
+    clear_def_facts()
     yield
 
 
