@@ -8,8 +8,8 @@ shared by every session running it: one compiled thunk per
 declaration/function body, variables resolved to integer indices into a
 flat environment list at compile time, and global reads/writes resolved
 to integer *slots* into a per-run cache over the authoritative
-:class:`~repro.system.state.Store` (whose write-versioning keeps memo
-probes O(read-set) integer compares, unchanged).  Non-tail recursion
+:class:`~repro.system.state.Store` (whose write versions let memo probes
+reuse a cached read-values key, unchanged).  Non-tail recursion
 runs on an explicit stack (:mod:`repro.compile.calls`).
 
 :class:`Compiled` satisfies the same evaluator protocol the system

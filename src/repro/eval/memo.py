@@ -18,16 +18,27 @@ cache at every ``f(args)`` call in render mode; on a hit they splice the
 cached box items into the current box and skip execution entirely.
 
 **Entries survive code updates** (repro.incremental).  The cache is keyed
-by ``(code digest, argument)`` — the digest hashes the function body
-closed over its transitive ``FunRef``\\ s (:mod:`repro.incremental.digest`)
-— and each entry carries a version-stamped snapshot of its read set.  A
-probe replays the entry iff the digest is unchanged *and* every read
-validates: by store write-version (an integer compare, the fast path) or,
-when versions differ, by value.  The UPDATE transition swaps in a fresh
-:class:`RenderMemo` per code version, but all versions share one
+by ``(code digest, argument, read-set values)`` — the digest hashes the
+function body closed over its transitive ``FunRef``\\ s
+(:mod:`repro.incremental.digest`), the read-set values are what the call
+would read *now*, in sorted read-name order.  That triple is the whole
+input of the call, so a key match is a complete validation: a probe
+replays the entry iff some variant stored under the call's ``(digest,
+argument)`` was produced from the same read values.  Sessions whose
+state differs keep one variant each instead of overwriting one entry.
+The UPDATE transition swaps in a fresh :class:`RenderMemo` per code
+version, but all versions share one
 :class:`~repro.incremental.store.MemoStore`, so the first render after an
 edit replays every call whose code and inputs did not change — the edit →
 re-render loop pays only for what the edit touched.
+
+Building the read-values key must not cost what it saves.  Each view
+remembers, per read-name tuple, the store write versions it last built a
+key for; while they are unchanged (versions are globally unique ticks,
+and a view lives for one code version, so a version tuple names one
+tuple of values) the same :class:`~repro.incremental.store.ReadValues`
+object — hash computed once — is reused, and a repeat probe costs an
+integer-tuple compare plus store lookups that end on identity.
 
 The historical occurrence-number caveat is gone: replayed subtrees used
 to keep the occurrence numbers of their original execution, so with
@@ -50,7 +61,7 @@ from ..core.effects import RENDER
 from ..core.errors import ReproError
 from ..core.prims import PRIM_SIGS
 from ..incremental.digest import code_digests
-from ..incremental.store import MemoEntry, MemoStore
+from ..incremental.store import MemoEntry, MemoStore, ReadValues
 from ..obs.trace import NULL_TRACER
 
 
@@ -167,13 +178,20 @@ class MemoFacts:
     are never mutated after construction.  The per-function walks and
     digest canons behind them are kept per definition object, so a new
     version redoes them only for the definitions it changed.
+    ``read_orders`` holds each read set as a sorted name tuple, the
+    order of a call's read-values key; functions with equal read sets
+    share one tuple.
     """
 
-    __slots__ = ("read_sets", "native_sets", "digests", "eligible")
+    __slots__ = ("read_orders", "native_sets", "digests", "eligible")
 
     def __init__(self, code):
         facts = _function_facts(code)
-        self.read_sets = _transitive(facts, _READS)
+        orders = {}
+        self.read_orders = {
+            name: orders.setdefault(reads, tuple(sorted(reads)))
+            for name, reads in _transitive(facts, _READS).items()
+        }
         self.native_sets = _transitive(facts, _NATIVES)
         self.digests = code_digests(
             code,
@@ -201,7 +219,7 @@ class RenderMemo:
     threads through UPDATE so they survive it.  Constructed without a
     ``store`` (tests, standalone machines) it owns a private one, which
     restores the old cache-per-machine behaviour.  The hit/miss counters
-    are this view's own.
+    and the read-values key cache are this view's own.
     """
 
     def __init__(self, code, store=None, max_entries=4096,
@@ -210,7 +228,7 @@ class RenderMemo:
             raise ReproError("RenderMemo expects Code")
         self.code = code
         facts = memo_facts(code)
-        self._read_sets = facts.read_sets
+        self._read_orders = facts.read_orders
         self._native_sets = facts.native_sets
         self._digests = facts.digests
         self._eligible = facts.eligible
@@ -219,8 +237,12 @@ class RenderMemo:
             else MemoStore(max_entries, tracer=tracer)
         )
         self.tracer = tracer
+        # read-name tuple → (store versions, ReadValues built from them)
+        self._keys = {}
         self.hits = 0
         self.misses = 0
+        self.misses_cold = 0
+        self.misses_read_values = 0
         self.replayed_boxes = 0
 
     def eligible(self, name):
@@ -236,63 +258,80 @@ class RenderMemo:
             value = definition.init if definition else None
         return value
 
+    def _read_key(self, name, store):
+        """The :class:`~repro.incremental.store.ReadValues` of ``name``'s
+        read set under ``store``.
+
+        Reused while the read set's write versions are unchanged: within
+        one code version a version tuple names one tuple of values
+        (version ``0``, never assigned, reads the declared init, which
+        this view's code fixes).
+        """
+        names = self._read_orders.get(name, ())
+        version = store.version
+        versions = tuple([version(global_name) for global_name in names])
+        cached = self._keys.get(names)
+        if cached is not None and cached[0] == versions:
+            return cached[1]
+        key = ReadValues(tuple([
+            self._read_value(global_name, store) for global_name in names
+        ]))
+        self._keys[names] = (versions, key)
+        return key
+
     def probe(self, name, arg_value, store):
         """The cached entry for ``name(arg_value)`` under ``store``, or
-        ``None`` — counting a hit exactly when the entry validates.
+        ``None`` — counting a hit exactly when one is found.
 
-        Validation per read slot: same write version (and not the
-        never-assigned version ``0``) is a hit by integer compare;
-        otherwise fall back to comparing the value the function would
-        read *now* with the stamped one, refreshing the stamp when they
-        agree so the next probe is integers again.  Version ``0`` always
-        value-compares, because an unassigned global reads its declared
-        init straight from the code — which an update can change while
-        the function's own digest stays fixed.
+        The lookup key is the call ``(digest, argument)`` plus the
+        values of the read set as ``store`` holds them now; a match
+        needs no further validation.
         """
-        entry = self.memo_store.get((self._digests.get(name), arg_value))
+        memo_store = self.memo_store
+        entry = memo_store.get(
+            (self._digests.get(name), arg_value),
+            self._read_key(name, store),
+        )
         if entry is None:
             return None
-        for slot in entry.reads:
-            global_name, version, value = slot
-            current = store.version(global_name)
-            if current == version and version != 0:
-                continue
-            if self._read_value(global_name, store) != value:
-                return None
-            slot[1] = current
         self.hits += 1
         self.replayed_boxes += entry.boxes
         self.tracer.add("memo_hits")
-        # Shared stores (repro.cluster): a validated hit on an entry
-        # another session produced is a cross-session warm hit — the
-        # view counts it into the host's metrics.
-        note = getattr(self.memo_store, "note_shared_hit", None)
+        # Shared stores (repro.cluster): a hit on an entry another
+        # session produced is a cross-session warm hit — the view counts
+        # it into the host's metrics.
+        note = getattr(memo_store, "note_shared_hit", None)
         if note is not None:
             note(entry)
         return entry
 
     def store_result(self, name, arg_value, store, items, value):
-        """Record one executed call; counts the miss that caused it."""
-        self.misses += 1
-        self.tracer.add("memo_misses")
-        digest = self._digests.get(name)
-        reads = [
-            [global_name, store.version(global_name),
-             self._read_value(global_name, store)]
-            for global_name in sorted(self._read_sets.get(name, ()))
-        ]
+        """Record one executed call; counts the miss that caused it and
+        its cause: ``read_values`` when the call held variants, but none
+        for these values, ``cold`` when it held none."""
         items = tuple(items)
         boxes = sum(
             item.count_boxes() for item in items if isinstance(item, Box)
         )
-        self.memo_store.put(
-            (digest, arg_value),
+        had_variants = self.memo_store.put(
+            (self._digests.get(name), arg_value),
+            self._read_key(name, store),
             MemoEntry(
-                digest, arg_value, reads, items, value, boxes,
+                items, value, boxes,
                 natives=self._native_sets.get(name, frozenset()),
             ),
         )
+        self.misses += 1
+        self.tracer.add("memo_misses")
+        if had_variants:
+            self.misses_read_values += 1
+            self.tracer.add("incremental.memo_miss.read_values")
+        else:
+            self.misses_cold += 1
+            self.tracer.add("incremental.memo_miss.cold")
 
     def stats(self):
         return {"hits": self.hits, "misses": self.misses,
+                "misses_cold": self.misses_cold,
+                "misses_read_values": self.misses_read_values,
                 "entries": len(self.memo_store)}

@@ -14,21 +14,22 @@ outlive UPDATE:
   Keying entries by ``(digest, argument)`` instead of machine identity
   makes "this function's code did not change" a dictionary lookup.
 * :mod:`repro.incremental.store` — the :class:`MemoStore`, a bounded
-  LRU of version-stamped entries that the
+  LRU of entries keyed by call and read-set values that the
   :class:`~repro.system.transitions.System` threads through UPDATE.
 
 An entry survives an update and replays without re-execution exactly
-when its function's digest is unchanged **and** its read-set versions
-(or, failing that, values) are unchanged — the rule ``docs/PERF.md``
+when its function's digest is unchanged **and** the values its read set
+holds now are the ones it was produced from — the rule ``docs/PERF.md``
 spells out.
 """
 
 from .digest import code_digests, function_canon
-from .store import MemoEntry, MemoStore
+from .store import MemoEntry, MemoStore, ReadValues
 
 __all__ = [
     "MemoEntry",
     "MemoStore",
+    "ReadValues",
     "code_digests",
     "function_canon",
 ]

@@ -7,29 +7,36 @@ session): UPDATE creates a fresh :class:`~repro.eval.memo.RenderMemo`
 for functions whose digest and read-set values are unchanged survive
 the edit and replay without re-execution.
 
-Entries are keyed by ``(code digest, argument value)`` — deliberately
-*not* by function name (a rename that keeps the body is a digest match
-and still hits) and *not* by read-set values (those are validated
-against the entry's version-stamped read snapshot at probe time, see
-:meth:`~repro.eval.memo.RenderMemo.probe`).
+Entries are keyed in two levels.  The *call* is ``(code digest,
+argument value)`` — deliberately *not* the function name (a rename that
+keeps the body is a digest match and still hits).  Under each call sits
+a small LRU of *variants* keyed by the values of the function's read
+set (a :class:`ReadValues`), in sorted read-name order: render output
+is a pure function of ``(digest, argument, read-set values)``, so a key
+match is a complete validation and no per-entry check is left to do —
+the rule self-adjusting computation uses, which keys a memo hit on the
+values a computation actually read.  Two sessions whose read globals
+differ (the gallery's ``selected``) therefore both stay cached instead
+of overwriting each other's entry.
 
-The store is bounded: without a cap, surviving UPDATE turns the old
-per-machine cache into a leak across a long editing session.  Insertion
-beyond ``max_entries`` evicts the least recently used entry and counts
+The store is bounded twice: a call keeps at most
+:data:`MAX_VARIANTS_PER_CALL` variants (a render function reading a
+counter that never repeats cannot crowd out every other function), and
+the whole store at most ``max_entries`` variants.  Insertion beyond
+either bound evicts a least recently used variant (of the call itself,
+or of the least recently used call) and counts
 ``incremental.memo_evictions``.
 
 **Sharing across sessions** (repro.cluster).  The store can also be
 promoted from per-:class:`~repro.system.transitions.System` to
 per-*program*: a :class:`~repro.serve.host.SessionHost` constructed with
 ``memo_store=`` hands every session a :class:`SessionMemoView` over the
-one shared store, so N sessions running the same app warm each other —
-entries are digest-keyed, which makes cross-session reuse sound (the
-digest pins the code; the read-set snapshot is validated against the
-*probing* session's store, and write-version ticks are globally unique
-per process, so a foreign version stamp can never spuriously validate —
-it falls back to the value compare and is then re-stamped locally).
-That promotion makes the store a concurrency point: every operation is
-serialized behind an internal lock, cheap when uncontended.
+one shared store, so N sessions running the same app warm each other.
+Cross-session reuse is sound because the key holds everything the
+output depends on: the digest pins the code, the read values are the
+probing session's own.  That promotion makes the store a concurrency
+point: every operation is serialized behind an internal lock, cheap
+when uncontended.
 """
 
 from __future__ import annotations
@@ -39,33 +46,57 @@ from collections import OrderedDict
 
 from ..obs.trace import NULL_TRACER
 
+#: Read-value variants kept per ``(digest, argument)`` call.  The
+#: gallery's cells read ``selected``, which a fleet of users spreads over
+#: about twenty values; a call past the bound evicts its own least
+#: recently used variant.
+MAX_VARIANTS_PER_CALL = 32
+
+
+class ReadValues:
+    """The values of one call's read set, in sorted read-name order —
+    the variant key under a call.
+
+    The hash is computed once, at construction: a
+    :class:`~repro.eval.memo.RenderMemo` view reuses one key object for
+    as long as the store versions of the read set do not move, so a
+    repeat probe never re-hashes a large list global, and equality
+    short-circuits on identity.  Only a hash match against another
+    session's key pays the deep value compare.
+    """
+
+    __slots__ = ("values", "hash")
+
+    def __init__(self, values):
+        self.values = values
+        self.hash = hash(values)
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (
+            isinstance(other, ReadValues)
+            and self.hash == other.hash
+            and self.values == other.values
+        )
+
 
 class MemoEntry:
-    """One cached render call.
-
-    ``reads`` is the version-stamped read snapshot: a list of mutable
-    ``[global_name, store_version, value]`` slots.  Validation is an
-    integer compare per slot on the fast path; on a version mismatch it
-    falls back to a value compare and, when the value turns out equal,
-    refreshes the stamp in place so the *next* probe is integers again.
-    A version of ``0`` means "never assigned" — the value then came from
-    the code's declared initial value, which an update can change with
-    the digest fixed, so version-0 slots always deep-compare.
+    """One cached render call: the box items it appended and its value.
 
     ``origin`` names the session (token) that executed the call;
-    ``None`` for private per-System stores.  A validated hit on an
-    entry with a *different* origin is a cross-session warm hit
+    ``None`` for private per-System stores.  A hit on an entry with a
+    *different* origin is a cross-session warm hit
     (``cluster.memo.shared_hits``).
     """
 
-    __slots__ = ("digest", "arg", "reads", "items", "value", "boxes",
-                 "origin", "natives")
+    __slots__ = ("items", "value", "boxes", "origin", "natives")
 
-    def __init__(self, digest, arg, reads, items, value, boxes,
-                 origin=None, natives=frozenset()):
-        self.digest = digest
-        self.arg = arg
-        self.reads = reads
+    def __init__(self, items, value, boxes, origin=None,
+                 natives=frozenset()):
         self.items = items          # the cached box items (frozen trees)
         self.value = value          # the call's return value
         self.boxes = boxes          # boxes in ``items``, for replay stats
@@ -74,86 +105,136 @@ class MemoEntry:
 
 
 class MemoStore:
-    """A bounded, insertion-tracked LRU of :class:`MemoEntry`.
+    """A bounded LRU of :class:`MemoEntry` variants, grouped per call.
 
-    Thread-safe: sessions sharing one store run on different host
-    threads, so the LRU bookkeeping is serialized behind a lock (an
+    ``call`` arguments are ``(digest, argument)`` pairs and
+    ``read_key`` arguments :class:`ReadValues`.  Recency is kept per
+    call and, within a call, per variant; past ``max_entries`` variants
+    the least recently used call gives up its least recently used
+    variant.  Thread-safe: sessions sharing one store run on different
+    host threads, so the LRU bookkeeping is serialized behind a lock (an
     uncontended acquire costs nanoseconds; the private per-System case
     pays essentially nothing).
     """
 
     def __init__(self, max_entries=4096, tracer=NULL_TRACER):
-        self._entries = OrderedDict()
+        # call → OrderedDict(read_key → entry); both levels in LRU order.
+        self._calls = OrderedDict()
+        self._size = 0              # variants held, what max_entries bounds
         self._max_entries = max_entries
         self._lock = threading.RLock()
         self.tracer = tracer
         self.evictions = 0
         self.lookups = 0
 
-    def get(self, key):
+    def get(self, call, read_key):
+        """The variant of ``call`` for ``read_key``, or ``None``."""
         with self._lock:
             self.lookups += 1
-            entry = self._entries.get(key)
+            variants = self._calls.get(call)
+            if variants is None:
+                return None
+            entry = variants.get(read_key)
             if entry is not None:
-                self._entries.move_to_end(key)
+                variants.move_to_end(read_key)
+                self._calls.move_to_end(call)
             return entry
 
-    def put(self, key, entry):
+    def put(self, call, read_key, entry):
+        """Store ``entry`` as the ``read_key`` variant of ``call``;
+        returns whether the call held variants before (a miss on such a
+        call is a read-values miss, otherwise a cold one)."""
         with self._lock:
-            entries = self._entries
-            if key not in entries and len(entries) >= self._max_entries:
-                entries.popitem(last=False)
-                self.evictions += 1
-                self.tracer.add("incremental.memo_evictions")
-            entries[key] = entry
-            entries.move_to_end(key)
+            calls = self._calls
+            variants = calls.get(call)
+            if variants is None:
+                if self._size >= self._max_entries:
+                    self._evict(next(iter(calls)))
+                calls[call] = OrderedDict([(read_key, entry)])
+                self._size += 1
+                return False
+            calls.move_to_end(call)
+            if read_key in variants:
+                variants[read_key] = entry
+                variants.move_to_end(read_key)
+                return True
+            if len(variants) >= MAX_VARIANTS_PER_CALL:
+                self._evict(call)
+            elif self._size >= self._max_entries:
+                self._evict(next(iter(calls)))
+            variants = calls.get(call)
+            if variants is None:    # its last variant was the one evicted
+                variants = calls[call] = OrderedDict()
+            variants[read_key] = entry
+            self._size += 1
+            return True
 
-    def discard(self, key):
+    def _evict(self, call):
+        """Drop the least recently used variant of ``call``."""
+        variants = self._calls[call]
+        variants.popitem(last=False)
+        if not variants:
+            del self._calls[call]
+        self._size -= 1
+        self.evictions += 1
+        self.tracer.add("incremental.memo_evictions")
+
+    def discard(self, call):
+        """Drop every variant of ``call``."""
         with self._lock:
-            self._entries.pop(key, None)
+            self._size -= len(self._calls.pop(call, ()))
 
     def clear(self):
         with self._lock:
-            self._entries.clear()
+            self._calls.clear()
+            self._size = 0
 
     def invalidate_natives(self, names):
-        """Drop exactly the entries that may have called a rebound native.
+        """Drop exactly the calls that may have called a rebound native.
 
         Digests cannot see host Python, so when UPDATE rebinds a native
         implementation the affected entries are stale with their keys
         unchanged.  Each entry carries the (transitive) native call set
         of the function that produced it, so invalidation is precise:
-        entries whose producers cannot reach any name in ``names``
-        survive the rebind.  Returns the number of entries dropped.
+        calls whose producers cannot reach any name in ``names`` keep
+        their variants; an affected call loses all of them.  Returns the
+        number of variants dropped.
         """
         names = frozenset(names)
         if not names:
             return 0
         with self._lock:
             stale = [
-                key for key, entry in self._entries.items()
-                if entry.natives & names
+                call for call, variants in self._calls.items()
+                if any(entry.natives & names for entry in variants.values())
             ]
-            for key in stale:
-                del self._entries[key]
-            if stale:
+            dropped = sum(len(self._calls.pop(call)) for call in stale)
+            self._size -= dropped
+            if dropped:
                 self.tracer.add(
-                    "incremental.native_invalidations", len(stale)
+                    "incremental.native_invalidations", dropped
                 )
-            return len(stale)
+            return dropped
 
     def __len__(self):
+        """The number of variants held (what ``max_entries`` bounds)."""
         with self._lock:
-            return len(self._entries)
+            return self._size
 
-    def __contains__(self, key):
+    def __contains__(self, call):
         with self._lock:
-            return key in self._entries
+            return call in self._calls
+
+    def variants(self, call):
+        """How many variants ``call`` holds."""
+        with self._lock:
+            return len(self._calls.get(call, ()))
 
     def stats(self):
         with self._lock:
             return {
-                "entries": len(self._entries),
+                "entries": self._size,
+                "calls": len(self._calls),
                 "max_entries": self._max_entries,
                 "evictions": self.evictions,
                 "lookups": self.lookups,
@@ -166,8 +247,8 @@ class SessionMemoView:
     The view is what a :class:`~repro.system.transitions.System` owns
     when its host promotes memoization to per-program: reads and writes
     go straight to the shared store, but every entry this session
-    executes is tagged with the session's ``origin``, and a validated
-    hit on a *foreign* entry is reported through ``count`` (the host's
+    executes is tagged with the session's ``origin``, and a hit on a
+    *foreign* entry is reported through ``count`` (the host's
     serialized metric counter) as ``cluster.memo.shared_hits`` — the
     measurable fact that one user's render warmed another's.
 
@@ -184,22 +265,22 @@ class SessionMemoView:
         self.origin = origin
         self._count = count
 
-    def get(self, key):
-        return self.store.get(key)
+    def get(self, call, read_key):
+        return self.store.get(call, read_key)
 
-    def put(self, key, entry):
+    def put(self, call, read_key, entry):
         entry.origin = self.origin
-        self.store.put(key, entry)
+        return self.store.put(call, read_key, entry)
 
     def note_shared_hit(self, entry):
-        """Called by :meth:`~repro.eval.memo.RenderMemo.probe` after an
-        entry *validated*: count it iff another session produced it."""
+        """Called by :meth:`~repro.eval.memo.RenderMemo.probe` after a
+        hit: count it iff another session produced the entry."""
         if entry.origin is not None and entry.origin != self.origin:
             if self._count is not None:
                 self._count("cluster.memo.shared_hits")
 
-    def discard(self, key):
-        self.store.discard(key)
+    def discard(self, call):
+        self.store.discard(call)
 
     def clear(self):
         self.store.clear()
@@ -210,8 +291,8 @@ class SessionMemoView:
     def __len__(self):
         return len(self.store)
 
-    def __contains__(self, key):
-        return key in self.store
+    def __contains__(self, call):
+        return call in self.store
 
     def stats(self):
         return self.store.stats()

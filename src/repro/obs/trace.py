@@ -68,6 +68,8 @@ CATALOG = (
     # (The companion "incremental.update_reuse_ratio" is a gauge, set per
     # post-update render, not a catalog counter.)
     "incremental.memo_evictions",
+    "incremental.memo_miss.cold",
+    "incremental.memo_miss.read_values",
     "incremental.entries_carried",
     "incremental.update_hits",
     "incremental.update_misses",

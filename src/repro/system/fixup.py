@@ -55,9 +55,8 @@ def fixup_store(new_code, store, natives=None, report=None,
             new_code, value, definition.type, natives=natives
         ):
             # S-OKAY — the entry survives *with its write version*: it is
-            # the same assignment event, so memo entries stamped against
-            # the old store keep probing by integer compare (see
-            # repro.incremental).
+            # the same assignment event, so UPDATE's version diff does not
+            # count it as a write.
             result.carry(name, value, store.version(name))
         else:
             report.dropped_globals.append(name)  # S-SKIP

@@ -34,8 +34,9 @@ from .events import EventQueue
 #: names one specific assignment event: the fix-up of Fig. 12 builds a
 #: *new* store on every UPDATE, and if each store restarted its own
 #: counter, version 7 of ``clicks`` before an edit and version 7 after it
-#: could stamp different values — and the incremental memo's O(1) probe
-#: (see :mod:`repro.incremental`) would replay a stale entry.
+#: could stamp different values — UPDATE's write diff and ``why()``
+#: would then miss an assignment, and the memo's read-values key cache
+#: (see :mod:`repro.eval.memo`) would reuse a key built from old values.
 _VERSION_TICK = itertools.count(1)
 
 
@@ -44,11 +45,14 @@ class Store:
 
     Beyond the paper's mapping, each entry carries a **write version**
     (a globally unique tick stamped by :meth:`assign`).  Versions are
-    implementation caching outside the semantics — equality and hashing
-    ignore them — and exist so memo probes on large models are O(read
-    set) integer compares instead of deep value comparisons.  A name
-    that was never assigned has version ``0``: its value comes lazily
-    from the code (EP-GLOBAL-2), which versioning cannot witness.
+    implementation bookkeeping outside the semantics — equality and
+    hashing ignore them.  Comparing two version snapshots names exactly
+    the assignments between them, which UPDATE's write diff and
+    ``why()`` use, and they let a memo view reuse a call's read-values
+    key (hash computed once) instead of re-reading and re-hashing large
+    models while the read set's versions stand still.  A name that was
+    never assigned has version ``0``: its value comes lazily from the
+    code (EP-GLOBAL-2), which versioning cannot witness.
     """
 
     __slots__ = ("_entries", "_versions", "_read_log")
@@ -111,8 +115,8 @@ class Store:
         """Assign ``name`` while *keeping* an existing write version.
 
         Used by the UPDATE fix-up (S-OKAY): the surviving value is the
-        same assignment event, so memo entries stamped against the old
-        store keep validating by integer compare in the new one.
+        same assignment event, so comparing version snapshots across the
+        update does not report it as a write.
         """
         if not isinstance(value, ast.Expr) or not value.is_value():
             raise ReproError(

@@ -103,7 +103,10 @@ class TestCacheBehaviour:
     def test_rerender_hits(self):
         _plain, memo = runtimes()
         stats = memo.system.render_memo.stats()
-        assert stats == {"hits": 0, "misses": 4, "entries": 4}
+        assert stats == {
+            "hits": 0, "misses": 4, "misses_cold": 4,
+            "misses_read_values": 0, "entries": 4,
+        }
         memo.tap_text("clicks 0")  # clicks changes; cells don't read it
         assert memo.system.render_memo.stats()["hits"] == 4
 
@@ -113,6 +116,9 @@ class TestCacheBehaviour:
         stats = memo.system.render_memo.stats()
         assert stats["hits"] == 0
         assert stats["misses"] == 8
+        # The second round's misses found the cells' calls cached under
+        # the old ``greeting`` only.
+        assert stats["misses_read_values"] == 4
         assert memo.contains_text("yo 3")
 
     def test_argument_participates_in_key(self):

@@ -3,23 +3,23 @@
 Promoting :class:`MemoStore` from per-System to per-program makes it a
 concurrency point: many host threads hit one LRU.  These tests hammer
 the store from threads and then check the soundness story end to end —
-cross-session hits fire, stale entries are rejected by value, origins
-are tracked.
+cross-session hits fire, a session never replays a variant produced
+from other read values, origins are tracked.
 """
 
 import threading
 
 from repro.api import Tracer
-from repro.incremental import MemoEntry, MemoStore
+from repro.incremental import MemoEntry, MemoStore, ReadValues
 from repro.incremental.store import SessionMemoView
 from repro.serve.host import SessionHost
 
 
+NO_READS = ReadValues(())
+
+
 def entry(tag, origin=None):
-    return MemoEntry(
-        digest="d{}".format(tag), arg=None, reads=[],
-        items=[], value=tag, boxes=0, origin=origin,
-    )
+    return MemoEntry(items=(), value=tag, boxes=0, origin=origin)
 
 
 def hammer(threads):
@@ -44,24 +44,28 @@ def hammer(threads):
 class TestParallelAccess:
     def test_parallel_hits_and_puts_stay_consistent(self):
         store = MemoStore(max_entries=64)
-        keys = {("d{}".format(n), None): n for n in range(32)}
-        for key, n in keys.items():
-            store.put(key, entry(n))
+        keys = {
+            (("d{}".format(n), None), ReadValues((n % 2,))): n
+            for n in range(32)
+        }
+        for (call, read_key), n in keys.items():
+            store.put(call, read_key, entry(n))
 
         def reader():
             for _ in range(300):
-                for key in keys:
-                    found = store.get(key)
+                for (call, read_key), n in keys.items():
+                    found = store.get(call, read_key)
                     # An entry may be mid-replacement but never torn.
-                    assert found is None or found.digest == key[0]
+                    assert found is None or found.value == n
 
         def writer():
             for _round in range(100):
-                for key, n in keys.items():
-                    store.put(key, entry(n))
+                for (call, read_key), n in keys.items():
+                    store.put(call, read_key, entry(n))
 
         hammer([reader, reader, reader, writer, writer])
         assert len(store) == len(keys)
+        assert store.stats()["calls"] == len(keys)
 
     def test_parallel_eviction_races_respect_the_cap(self):
         store = MemoStore(max_entries=16, tracer=Tracer())
@@ -70,9 +74,11 @@ class TestParallelAccess:
         def writer(offset):
             def run():
                 for n in range(50):
-                    key = ("d{}-{}".format(offset, n), None)
-                    store.put(key, entry(key[0]))
-                    store.get(key)
+                    # Two variants of each call race the store-wide cap.
+                    call = ("d{}-{}".format(offset, n // 2), None)
+                    read_key = ReadValues((n % 2,))
+                    store.put(call, read_key, entry(n))
+                    store.get(call, read_key)
             return run
 
         hammer([writer(n) for n in range(8)])
@@ -84,22 +90,25 @@ class TestParallelAccess:
 
         def writer():
             for n in range(200):
-                store.put(("d{}".format(n % 32), None), entry(n))
+                store.put(
+                    ("d{}".format(n % 32), None), ReadValues((n % 3,)),
+                    entry(n),
+                )
 
         def clearer():
             for _ in range(50):
                 store.clear()
 
         hammer([writer, writer, clearer])
-        assert len(store) <= 32
+        assert len(store) <= 32 * 3
 
 
 class TestSessionMemoView:
     def test_puts_are_stamped_with_the_sessions_origin(self):
         store = MemoStore()
         view = SessionMemoView(store, origin="s-1")
-        view.put(("d1", None), entry(1))
-        assert store.get(("d1", None)).origin == "s-1"
+        view.put(("d1", None), NO_READS, entry(1))
+        assert store.get(("d1", None), NO_READS).origin == "s-1"
 
     def test_shared_hit_counts_only_foreign_origins(self):
         counted = []
@@ -112,9 +121,11 @@ class TestSessionMemoView:
 
     def test_views_share_one_store(self):
         store = MemoStore()
-        SessionMemoView(store, origin="a").put(("d1", None), entry(1))
+        SessionMemoView(store, origin="a").put(
+            ("d1", None), NO_READS, entry(1)
+        )
         assert SessionMemoView(store, origin="b").get(
-            ("d1", None)
+            ("d1", None), NO_READS
         ).value == 1
 
 
@@ -142,9 +153,9 @@ class TestSharedAcrossSessions:
 
     def test_stale_entries_reject_by_value_not_falsely_hit(self):
         # A tap in one session changes a global its cells read; the
-        # other session's entries are version-stale for it and must be
-        # re-validated by value — the tapping session sees its own new
-        # state, never the neighbour's cached frame.
+        # other session's variants were produced from the old value and
+        # are keyed by it — the tapping session sees its own new state,
+        # never the neighbour's cached frame, and both stay cached.
         host = self._gallery_host()
         first = host.create()
         untapped, _gen, _ = host.render(first)
@@ -154,6 +165,9 @@ class TestSharedAcrossSessions:
         assert tapped != untapped
         # The untouched session still renders its original frame.
         assert host.render(first)[0] == untapped
+        # Both values of ``selected`` now have variants side by side.
+        stats = host.memo_store.stats()
+        assert stats["entries"] > stats["calls"]
 
     def test_parallel_sessions_on_one_shared_store(self):
         host = self._gallery_host()
