@@ -26,6 +26,11 @@ memoization):
   own selected cell in turn.  Every row reads ``selected``; the store
   keeps a variant per value, so both stay warm instead of evicting each
   other's entries.
+* ``served_html`` — a warm ``SessionHost.render`` after a tap on the
+  30x6 function gallery, against the HTML build of the same display
+  copied into never-frozen boxes.  The memo replays the untouched rows
+  as frozen subtrees that keep their HTML fragments, so the served
+  render costs the changed cells, not the page.
 
 Runs three ways::
 
@@ -34,10 +39,11 @@ Runs three ways::
     PYTHONPATH=src python benchmarks/bench_memo.py --check       # CI gate
 
 ``--check`` fails (exit 1) unless the warm p50 is at least
-``MIN_SPEEDUP`` times faster than the cold p50 on ``large_list`` and on
-``shared_store``, and unless the warm ``large_list`` p50 stays within
-``MAX_LIST_SIZE_RATIO`` of the warm ``small_list`` one — ratios within
-one run, so they hold on any hardware.  Full and quick runs append
+``MIN_SPEEDUP`` times faster than the cold p50 on ``large_list``, on
+``shared_store`` and on ``served_html``, and unless the warm
+``large_list`` p50 stays within ``MAX_LIST_SIZE_RATIO`` of the warm
+``small_list`` one — ratios within one run, so they hold on any
+hardware.  Full and quick runs append
 their numbers to ``BENCH_memo.json``.
 """
 
@@ -58,8 +64,11 @@ from conftest import (  # noqa: E402
 )
 
 from repro.apps.gallery import function_gallery_source
+from repro.boxes.tree import Box
 from repro.incremental.store import MemoStore
 from repro.obs.histo import percentile
+from repro.render.html_backend import render_html
+from repro.serve.host import SessionHost
 from repro.surface.compile import compile_source
 from repro.system.runtime import Runtime
 
@@ -118,6 +127,7 @@ page start()
 
 LIST_ITEMS = 1000
 GALLERY_ROWS, GALLERY_COLS = 10, 4
+SERVED_ROWS, SERVED_COLS = 30, 6
 
 
 def _runtime(source, store=None):
@@ -242,6 +252,54 @@ def measure_list_size(rounds):
     }
 
 
+def _uncached_copy(box):
+    """``box`` rebuilt from fresh boxes that are never frozen, so its
+    HTML build can use no cached fragment."""
+    return Box(
+        [
+            _uncached_copy(item) if isinstance(item, Box) else item
+            for item in box.items
+        ],
+        box_id=box.box_id,
+        occurrence=box.occurrence,
+    )
+
+
+def measure_served_html(rounds):
+    """Warm served render after a tap vs an uncached HTML build."""
+    host = SessionHost(
+        pool_size=1,
+        default_source=function_gallery_source(
+            rows=SERVED_ROWS, cols=SERVED_COLS
+        ),
+    )
+    token = host.create()
+    host.render(token)
+    cells = ("[40]", "[41]")
+    warm, cold = [], []
+    for round_ in range(rounds):
+        host.tap(token, text=cells[round_ % 2])
+        started = time.perf_counter()
+        html, _generation, _modified = host.render(token)
+        warm.append(time.perf_counter() - started)
+        with host.session(token) as entry:
+            display, title = entry.session.display, entry.title
+        copy = _uncached_copy(display)
+        started = time.perf_counter()
+        uncached = render_html(copy, title=title)
+        cold.append(time.perf_counter() - started)
+        assert uncached == html
+    cold_p50 = percentile(sorted(cold), 0.50)
+    warm_p50 = percentile(sorted(warm), 0.50)
+    return {
+        "case": "served_html",
+        "rounds": rounds,
+        "cold_p50_seconds": cold_p50,
+        "warm_p50_seconds": warm_p50,
+        "speedup": cold_p50 / warm_p50,
+    }
+
+
 def check(results, list_size):
     """(ok, messages): the warm-vs-cold floor on every gated case and
     the list-size ceiling."""
@@ -252,7 +310,8 @@ def check(results, list_size):
                 result["case"], result["speedup"], MIN_SPEEDUP
             ),
         )
-        for result in results if result["case"] in GATED_CASES
+        for result in results
+        if result["case"] in GATED_CASES + ("served_html",)
     ]
     verdicts.append((
         list_size["ratio"] <= MAX_LIST_SIZE_RATIO,
@@ -304,13 +363,20 @@ def test_warm_rerender_cost_ignores_list_size():
     assert result["ratio"] <= MAX_LIST_SIZE_RATIO, result
 
 
+def test_served_render_beats_uncached_html():
+    result = measure_served_html(rounds=15)
+    assert result["speedup"] >= MIN_SPEEDUP, result
+
+
 def main(argv=None):
     args = gate_arguments(
         argv, __doc__,
         quick="small CI-sized run (fewer rounds)",
         check="exit 1 unless a warm re-render is at least {:.0f}x faster "
-              "than a cleared-store one on {}, and a warm large_list "
-              "re-render within {:.1f}x of a small_list one".format(
+              "than a cleared-store one on {}, a warm served render as "
+              "much faster than an uncached HTML build, and a warm "
+              "large_list re-render within {:.1f}x of a small_list "
+              "one".format(
                   MIN_SPEEDUP, " and ".join(GATED_CASES),
                   MAX_LIST_SIZE_RATIO,
               ),
@@ -318,6 +384,7 @@ def main(argv=None):
     rounds = 20 if (args.quick or args.check) else 60
     names = GATED_CASES if args.check else tuple(CASES)
     results = [measure(name, rounds) for name in names]
+    results.append(measure_served_html(rounds))
     for result in results:
         print(
             "{case}: cold p50 {cold:.3f}ms → warm p50 {warm:.3f}ms "

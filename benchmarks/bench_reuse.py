@@ -1,8 +1,8 @@
 """E3 — the box-tree reuse optimization (Section 5, implemented).
 
-Full rebuild re-lays-out every box; the reuse configuration shares
-unchanged subtree objects with the previous display, so the layout
-engine's identity cache skips them.  We measure the *redisplay* pipeline
+Full rebuild re-lays-out every box; with reuse the layout engine shares
+unchanged subtree objects with the tree it laid out last (it runs
+``reuse()`` itself), so its identity cache skips them.  We measure the *redisplay* pipeline
 (render transition + layout) after a one-cell model change, with the
 layout cache invalidated (a full rebuild) and kept (reuse), at two tree
 sizes — plus the diff pass itself.
@@ -57,7 +57,8 @@ def test_redisplay_full_rebuild(benchmark, rows, cols):
     "rows,cols", SIZES, ids=lambda v: str(v)
 )
 def test_redisplay_with_reuse(benchmark, rows, cols):
-    """Layout after reuse(): unchanged subtrees hit the identity cache."""
+    """Layout with the engine's reuse(): unchanged subtrees hit the
+    identity cache."""
     before, after = _one_change_displays(rows, cols)
     engine = LayoutEngine()
     engine.layout(before, width=60)  # warm the cache on the old display

@@ -8,9 +8,9 @@ The paper's model rebuilds the entire box tree on every refresh and notes:
     changed."
 
 This module implements that optimization.  :func:`reuse` takes the previous
-display and the freshly rendered one and returns a tree in which every
+tree and the freshly rendered one and returns a tree in which every
 subtree that is structurally unchanged is *the same Python object* as in
-the previous display.  Downstream consumers that cache by object identity —
+the previous one.  Downstream consumers that cache by object identity —
 the layout engine keeps a per-object layout cache — then skip all work for
 reused subtrees, which is exactly the saving a retained-mode toolkit gets
 from not touching unchanged DOM nodes.
@@ -18,9 +18,14 @@ from not touching unchanged DOM nodes.
 The semantics is unaffected: ``reuse(old, new) == new`` structurally, and
 every box of the result carries ``new``'s ``box_id`` and ``occurrence``
 (a subtree is shared only when its navigation metadata matches too).
-Every non-faithful system runs the optimization after each RENDER; the
-``faithful=True`` oracle never does, and the ablation benchmark E3 calls
-:func:`reuse` directly to measure it on and off.
+The layout engine runs it against the root it laid out last
+(:meth:`repro.render.layout.LayoutEngine.layout`); RENDER does not, so
+the display, ``why()`` and the served HTML always hold exactly the tree
+the render produced.  The render memo already shares the frozen
+subtrees of unchanged calls between displays, and the HTML backend
+caches their fragments, so serving gains nothing from a second pass.
+The ablation benchmark E3 calls :func:`reuse` directly to measure it on
+and off.
 """
 
 from __future__ import annotations
@@ -93,6 +98,8 @@ def _same_box(old, new):
     ``==`` boxes that select different code.  Reusing the old object
     would put the old ids back on screen.
     """
+    if old is new:  # a memo-replayed subtree, or a re-laid-out tree
+        return True
     if old.box_id != new.box_id or old.occurrence != new.occurrence:
         return False
     if len(old.items) != len(new.items):

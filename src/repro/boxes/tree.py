@@ -16,10 +16,18 @@ paper's "the display content cannot be read by the code".
 
 ``meta`` fields (``box_id``, ``occurrence``) support Fig. 2's UI–code
 navigation and never participate in structural equality.
+
+A frozen box never changes again, so it also carries facts derived from
+its subtree, computed on first use: its box count, its nesting height
+and (filled in by :mod:`repro.render.html_backend`) its HTML fragment.
+The render memo splices the same frozen subtrees into every display
+that replays them, so those facts are computed once per subtree, not
+once per render.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from ..core.errors import ReproError
@@ -55,7 +63,10 @@ class Box(BoxItem):
     should treat rendered trees as immutable (:meth:`freeze` enforces it).
     """
 
-    __slots__ = ("items", "box_id", "occurrence", "_frozen")
+    __slots__ = (
+        "items", "box_id", "occurrence", "_frozen",
+        "_shape", "_reach", "_fragment",
+    )
 
     def __init__(self, items=(), box_id=None, occurrence=None):
         self.items = list(items)
@@ -66,6 +77,11 @@ class Box(BoxItem):
         #: a boxed statement in a loop yields many occurrences (Fig. 2).
         self.occurrence = occurrence
         self._frozen = False
+        # Derived facts of a frozen subtree (see shape, fragment_reach
+        # and repro.render.html_backend).
+        self._shape = None
+        self._reach = None
+        self._fragment = None
 
     # -- construction (render machine only) ---------------------------------
 
@@ -91,10 +107,16 @@ class Box(BoxItem):
         self.items.append(box)
 
     def freeze(self):
-        """Recursively mark the tree immutable (done when render finishes)."""
+        """Recursively mark the tree immutable (done when render finishes).
+
+        Stops at subtrees that are already frozen, so splicing a frozen
+        memo entry into a page costs nothing here.
+        """
+        if self._frozen:
+            return self
         self._frozen = True
         for item in self.items:
-            if isinstance(item, Box):
+            if isinstance(item, Box) and not item._frozen:
                 item.freeze()
         return self
 
@@ -151,9 +173,53 @@ class Box(BoxItem):
             for item in kid.walk(path + (index,)):
                 yield item
 
+    def shape(self):
+        """``(boxes, height)`` of the tree: its box count and how many
+        boxes deep it nests (cached once frozen)."""
+        shape = self._shape
+        if shape is None:
+            count, below = 1, 0
+            for item in self.items:
+                if isinstance(item, Box):
+                    kid_count, kid_height = item.shape()
+                    count += kid_count
+                    below = max(below, kid_height)
+            shape = (count, below + 1)
+            if self._frozen:
+                self._shape = shape
+        return shape
+
     def count_boxes(self):
         """Total number of boxes in the tree (benchmark metric)."""
-        return sum(1 for _ in self.walk())
+        return self.shape()[0]
+
+    def fragment_reach(self):
+        """Box count of the largest box in this subtree that keeps its
+        HTML fragment (0 when none does).
+
+        The rule that keeps cached markup linear in the document: a
+        frozen box keeps its fragment only if it has at least twice the
+        boxes of the largest keeper below it.  Keepers on any root-to-
+        leaf path then at least double in size, so a box's markup is
+        held by at most ``1 + log2(boxes)`` fragments, whatever the
+        tree's shape (a naive cache on a deep chain holds quadratic
+        text).  Structural, so it is decided once per frozen box.
+        """
+        reach = self._reach
+        if reach is None:
+            below = 0
+            for item in self.items:
+                if isinstance(item, Box):
+                    below = max(below, item.fragment_reach())
+            count = self.count_boxes()
+            reach = count if self._frozen and count >= 2 * below else below
+            if self._frozen:
+                self._reach = reach
+        return reach
+
+    def keeps_fragment(self):
+        """Does this (frozen) box cache its HTML fragment?"""
+        return self._frozen and self.fragment_reach() == self.count_boxes()
 
     def count_items(self):
         """Total number of content items in the tree (benchmark metric)."""
@@ -198,6 +264,17 @@ class Box(BoxItem):
             else:
                 lines.append(item.dump(indent + 1))
         return "\n".join(lines)
+
+
+def max_display_depth():
+    """How many boxes deep a display may nest.
+
+    Every consumer of a display (HTML, layout, hit-testing, ``walk``,
+    §5 reuse) recurses once per nesting level, so a deeper tree would
+    end in a bare ``RecursionError`` wherever it is next read.  A
+    hundred frames are left for the consumer's own callers.
+    """
+    return sys.getrecursionlimit() - 100
 
 
 def make_root(items=()):

@@ -61,7 +61,7 @@ from ..core.effects import RENDER
 from ..core.errors import ReproError
 from ..core.prims import PRIM_SIGS
 from ..incremental.digest import code_digests
-from ..incremental.store import MemoEntry, MemoStore, ReadValues
+from ..incremental.store import CallKey, MemoEntry, MemoStore, ReadValues
 from ..obs.trace import NULL_TRACER
 
 
@@ -289,7 +289,7 @@ class RenderMemo:
         """
         memo_store = self.memo_store
         entry = memo_store.get(
-            (self._digests.get(name), arg_value),
+            CallKey(self._digests.get(name), arg_value),
             self._read_key(name, store),
         )
         if entry is None:
@@ -308,13 +308,19 @@ class RenderMemo:
     def store_result(self, name, arg_value, store, items, value):
         """Record one executed call; counts the miss that caused it and
         its cause: ``read_values`` when the call held variants, but none
-        for these values, ``cold`` when it held none."""
+        for these values, ``cold`` when it held none.
+
+        The call's boxes are finished, so they are frozen here: an entry
+        is immutable from the moment any session can replay it, and its
+        box count (and later its HTML fragments) is computed once.
+        """
         items = tuple(items)
-        boxes = sum(
-            item.count_boxes() for item in items if isinstance(item, Box)
-        )
+        boxes = 0
+        for item in items:
+            if isinstance(item, Box):
+                boxes += item.freeze().count_boxes()
         had_variants = self.memo_store.put(
-            (self._digests.get(name), arg_value),
+            CallKey(self._digests.get(name), arg_value),
             self._read_key(name, store),
             MemoEntry(
                 items, value, boxes,

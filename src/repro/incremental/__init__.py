@@ -24,9 +24,10 @@ spells out.
 """
 
 from .digest import code_digests, function_canon
-from .store import MemoEntry, MemoStore, ReadValues
+from .store import CallKey, MemoEntry, MemoStore, ReadValues
 
 __all__ = [
+    "CallKey",
     "MemoEntry",
     "MemoStore",
     "ReadValues",

@@ -53,6 +53,38 @@ from ..obs.trace import NULL_TRACER
 MAX_VARIANTS_PER_CALL = 32
 
 
+class CallKey:
+    """A call ``(digest, argument)`` with its hash computed once.
+
+    Every store operation hashes its call at least twice (the lookup and
+    the LRU touch), and an argument's hash recurses through its AST
+    value in Python.  A key is built once per probe and hashed once.
+    """
+
+    __slots__ = ("digest", "argument", "hash")
+
+    def __init__(self, digest, argument):
+        self.digest = digest
+        self.argument = argument
+        self.hash = hash((digest, argument))
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (
+            isinstance(other, CallKey)
+            and self.hash == other.hash
+            and self.digest == other.digest
+            and self.argument == other.argument
+        )
+
+    def __repr__(self):
+        return "CallKey({!r}, {!r})".format(self.digest, self.argument)
+
+
 class ReadValues:
     """The values of one call's read set, in sorted read-name order —
     the variant key under a call.
@@ -107,14 +139,13 @@ class MemoEntry:
 class MemoStore:
     """A bounded LRU of :class:`MemoEntry` variants, grouped per call.
 
-    ``call`` arguments are ``(digest, argument)`` pairs and
-    ``read_key`` arguments :class:`ReadValues`.  Recency is kept per
-    call and, within a call, per variant; past ``max_entries`` variants
-    the least recently used call gives up its least recently used
-    variant.  Thread-safe: sessions sharing one store run on different
-    host threads, so the LRU bookkeeping is serialized behind a lock (an
-    uncontended acquire costs nanoseconds; the private per-System case
-    pays essentially nothing).
+    ``call`` arguments are :class:`CallKey` objects and ``read_key``
+    arguments :class:`ReadValues`.  Recency is kept per call and, within
+    a call, per variant; past ``max_entries`` variants the least recently
+    used call gives up its least recently used variant.  Thread-safe:
+    sessions sharing one store run on different host threads, so the LRU
+    bookkeeping is serialized behind a lock (an uncontended acquire costs
+    nanoseconds; the private per-System case pays essentially nothing).
     """
 
     def __init__(self, max_entries=4096, tracer=NULL_TRACER):

@@ -271,6 +271,12 @@ def live_programs(draw, max_globals=3, body_depth=3, max_functions=3):
     operate on, so properties quantifying over live editing sessions
     (memoized ≡ unmemoized, entries survive UPDATE) draw from here.
     Still call-graph-acyclic and terminating by construction.
+
+    Four programs in five also get a helper that boxes one global's
+    value, which the page calls at two nesting depths before its own
+    body: the memo then keys entries by read values, and the same
+    helper's frozen subtrees are replayed at different depths of the
+    HTML (whose fragments are cached per depth).
     """
     from ..core.defs import FunDef
 
@@ -304,12 +310,29 @@ def live_programs(draw, max_globals=3, body_depth=3, max_functions=3):
         functions.append(definition)
         partial_code = Code(globals_ + functions)
 
+    reader = None
+    if draw(st.sampled_from((True, True, True, True, False))):
+        read = draw(st.sampled_from(globals_)).name
+        param = ast.fresh_name("p")
+        reader = FunDef(
+            "r{}".format(len(functions)),
+            FunType(NUMBER, UNIT, RENDER),
+            ast.Lam(param, NUMBER, ast.Boxed(_then(
+                ast.Post(ast.GlobalRead(read)), ast.Post(ast.Var(param)),
+            ), box_id=10), RENDER),
+        )
+        functions.append(reader)
+        partial_code = Code(globals_ + functions)
+
     init_body = draw(
         expressions_of(partial_code, {}, UNIT, STATE, body_depth)
     )
     render_body = draw(
         expressions_of(partial_code, {}, UNIT, RENDER, body_depth)
     )
+    if reader is not None:
+        call = ast.App(ast.FunRef(reader.name), ast.Num(1.0))
+        render_body = _then(call, _then(ast.Boxed(call), render_body))
     page = PageDef(
         "start",
         UNIT,
@@ -317,6 +340,11 @@ def live_programs(draw, max_globals=3, body_depth=3, max_functions=3):
         ast.Lam(ast.fresh_name("a"), UNIT, render_body, RENDER),
     )
     return Code(globals_ + functions + [page])
+
+
+def _then(first, second, effect=RENDER):
+    """``first; second`` as core syntax (a unit-bound application)."""
+    return ast.App(ast.Lam(ast.fresh_name("seq"), UNIT, second, effect), first)
 
 
 @st.composite

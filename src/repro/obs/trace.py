@@ -43,7 +43,6 @@ CATALOG = (
     "boxes_rendered",
     "memo_hits",
     "memo_misses",
-    "reuse_shared_subtrees",
     "store_entries_deleted",
     "stack_frames_fixed",
     "events_queued",

@@ -14,6 +14,7 @@ which have no meaning outside the running system.
 
 from __future__ import annotations
 
+import hashlib
 import html as html_escape
 
 from ..boxes.attributes import ATTRIBUTE_ENV, as_number, as_string
@@ -64,6 +65,30 @@ def render_html_fragment(box, indent=0):
     """One box (and its content) as an HTML fragment."""
     if not isinstance(box, Box):
         raise ReproError("render_html_fragment expects a Box")
+    return _fragment(box, indent, keep=False)
+
+
+def _fragment(box, indent, keep=True):
+    """``box``'s markup at ``indent``, served from and kept in the box.
+
+    A frozen box's markup never changes, so the fragment is cached on the
+    box — keyed by indent, because leaf text may contain newlines and a
+    fragment is therefore never re-indented.  Memo replay splices the
+    same frozen subtrees into every render (and, over a shared store,
+    into every session), so a replayed subtree costs one slot read.
+    Only boxes that :meth:`~repro.boxes.tree.Box.keeps_fragment` store
+    theirs, which bounds cached text to ``1 + log2(boxes)`` times the
+    document; ``keep=False`` (the page root, whose document the caller
+    holds anyway) stores nothing.
+
+    Two threads rendering one shared box may both miss and both write
+    the slot.  That race is benign: the box is immutable, so both compute
+    the same text, and a slot assignment is atomic — a reader sees
+    either nothing or a complete ``(indent, text)`` pair.
+    """
+    cached = box._fragment
+    if cached is not None and cached[0] == indent:
+        return cached[1]
     pad = "  " * indent
     handlers = [
         name
@@ -86,9 +111,12 @@ def render_html_fragment(box, indent=0):
                 )
             )
         elif isinstance(item, Box):
-            lines.append(render_html_fragment(item, indent + 1))
+            lines.append(_fragment(item, indent + 1))
     lines.append("{}</div>".format(pad))
-    return "\n".join(lines)
+    text = "\n".join(lines)
+    if keep and box.keeps_fragment():
+        box._fragment = (indent, text)
+    return text
 
 
 def render_html(display, title="repro page"):
@@ -102,16 +130,18 @@ def render_html(display, title="repro page"):
     )
 
 
+def content_hash(data):
+    """The SHA-256 hex digest of ``data`` (bytes)."""
+    return hashlib.sha256(data).hexdigest()
+
+
 def display_fingerprint(display):
     """A stable content hash of a display's HTML rendition.
 
     The markup is deterministic (inline styles, document-order
     traversal), so two displays fingerprint equal iff their HTML bytes
-    are identical — which is exactly the "did the client's view change?"
-    question the server's 304-style render generation answers
-    (:mod:`repro.serve.host`).
+    are identical.  It hashes the indent-1 fragment that
+    :func:`render_html` embeds, so both share the cached fragments of
+    the display's subtrees.
     """
-    import hashlib
-
-    fragment = render_html_fragment(display)
-    return hashlib.sha256(fragment.encode("utf-8")).hexdigest()
+    return content_hash(render_html_fragment(display, 1).encode("utf-8"))

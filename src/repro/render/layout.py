@@ -9,17 +9,22 @@ Layout proceeds in the classic two passes:
 2. **arrange** — top-down assignment of absolute :class:`Rect`\\ s.
 
 The engine keeps a **measure cache keyed by box object identity**.  Boxes
-are immutable once rendered, so a box object always measures the same —
-and when the system runs with the Section 5 reuse optimization
-(:mod:`repro.boxes.diff`), re-renders share unchanged subtree *objects*
-with the previous display, turning their entire measure pass into cache
-hits.  That cache is what benchmark E3 measures.
+are immutable once rendered, so a box object always measures the same.
+Each :meth:`LayoutEngine.layout` first runs the Section 5 reuse
+optimization (:mod:`repro.boxes.diff`) against the root it laid out
+last, so a re-render's unchanged subtrees become the previous *objects*
+and their whole measure pass turns into cache hits — the identity-cache
+benefit benchmark E3 measures.  Reuse lives here, with its only
+consumer: the display, ``why()`` and the wire always see the tree the
+render produced.  The cache keeps only the boxes of the tree laid out
+last, so a long-lived engine does not pin every tree it ever saw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..boxes import diff as box_diff
 from ..boxes.attributes import as_number, as_string
 from ..boxes.tree import AttrSet, Box, Leaf
 from ..core import names
@@ -73,7 +78,14 @@ class LayoutEngine:
     """Measures and arranges box trees, caching measures by box identity."""
 
     def __init__(self):
+        # id(box) -> (box, size) for the tree being laid out; the entries
+        # of the tree laid out before it wait in ``_previous_measures``
+        # and move over as they are hit.
         self._measure_cache = {}
+        self._previous_measures = {}
+        #: The root of the last :meth:`layout`, which the next one
+        #: shares unchanged subtrees with.
+        self._last_root = None
         #: Cache statistics (reset per :meth:`layout` call), reported by
         #: benchmark E3.
         self.cache_hits = 0
@@ -82,12 +94,19 @@ class LayoutEngine:
     def invalidate(self):
         """Drop the cache (e.g. between unrelated programs)."""
         self._measure_cache.clear()
+        self._previous_measures.clear()
+        self._last_root = None
 
     # -- measure ----------------------------------------------------------------
 
     def measure(self, box):
         """Natural *outer* size of ``box`` (including its margin)."""
-        cached = self._measure_cache.get(id(box))
+        key = id(box)
+        cached = self._measure_cache.get(key)
+        if cached is None:
+            cached = self._previous_measures.get(key)
+            if cached is not None and cached[0] is box:
+                self._measure_cache[key] = cached
         if cached is not None and cached[0] is box:
             self.cache_hits += 1
             return cached[1]
@@ -130,15 +149,27 @@ class LayoutEngine:
         """Lay out ``root`` at the origin; returns the root LayoutNode.
 
         ``width`` optionally stretches the root to a device width (pages
-        fill the screen), leaving children at natural size.
+        fill the screen), leaving children at natural size.  The nodes'
+        boxes are ``root`` with every subtree equal to one of the last
+        layout's (content *and* navigation metadata) replaced by that
+        subtree's object.
         """
         if not isinstance(root, Box):
             raise ReproError("layout expects a Box, got {!r}".format(root))
+        root = box_diff.reuse(self._last_root, root)
+        self._last_root = root
+        self._previous_measures = self._measure_cache
+        self._measure_cache = {}
         self.cache_hits = 0
         self.cache_misses = 0
         natural = self.measure(root)
         outer_w = max(natural.width, width or 0)
-        return self._arrange(root, (), 0, 0, outer_w, natural.height)
+        node = self._arrange(root, (), 0, 0, outer_w, natural.height)
+        # Arranging measured every box of ``root``, which moved each one
+        # into the current cache; what is left behind belongs to no
+        # laid-out tree any more.
+        self._previous_measures = {}
+        return node
 
     def _arrange(self, box, path, x, y, outer_w, outer_h):
         margin, padding, border, fixed_width, horizontal = _box_metrics(box)

@@ -18,11 +18,13 @@ byte-identical to a never-evicted one, and an ``edit_source`` arriving
 while the session is paged out behaves exactly like a live edit.
 
 **Generations.**  Every session carries a display generation — a counter
-bumped whenever the HTML rendition of its display actually changes
-(content-hashed via
-:func:`repro.render.html_backend.display_fingerprint`).  ``render``
-requests carrying the client's last generation get a 304-style
-"not modified" answer without re-rendering.
+bumped whenever the HTML document of its display actually changes.  A
+dirty render builds the document once
+(:func:`repro.render.html_backend.render_html`, whose frozen subtrees
+serve their cached fragments) and hashes that document's bytes; the
+hash survives eviction, so a rehydrated session keeps its generation.
+``render`` requests carrying the client's last generation get a
+304-style "not modified" answer without re-rendering.
 
 **Resilience.**  Every state-changing op runs through a per-session
 **circuit breaker**: ``quarantine_after`` consecutive faulting
@@ -58,7 +60,14 @@ from ..live.session import LiveSession
 from ..obs.sinks import InMemorySink
 from ..obs.trace import NULL_TRACER, Tracer
 from ..persist import load_image, save_image
-from ..render.html_backend import display_fingerprint, render_html
+# ``display_fingerprint`` is imported for perfbench/layers.py, which wraps
+# it as the ``render.fingerprint`` layer; serving hashes the document it
+# built instead, so that layer reads 0.
+from ..render.html_backend import (  # noqa: F401
+    content_hash,
+    display_fingerprint,
+    render_html,
+)
 from ..system.services import Services
 from .batching import apply_batch
 
@@ -97,7 +106,7 @@ class _Entry:
 
     __slots__ = (
         "token", "lock", "session", "image",
-        "generation", "html", "fingerprint", "dirty", "title",
+        "generation", "html", "html_bytes", "fingerprint", "dirty", "title",
         "consecutive_faults", "quarantined",
         "repair_report", "repair_thread",
     )
@@ -112,6 +121,7 @@ class _Entry:
         self.image = None          # (source, image JSON) when evicted
         self.generation = 0        # bumped when the HTML bytes change
         self.html = None           # last rendered document
+        self.html_bytes = 0        # its UTF-8 length, for ``bytes_served``
         self.fingerprint = None    # content hash behind ``generation``
         self.dirty = True          # a mutation may have changed the view
         self.title = title
@@ -322,12 +332,14 @@ class SessionHost:
         let a stale client poll into ``not_modified`` forever.  The
         floor (derived from the journal's global sequence, which bounds
         every pre-crash generation) restarts the counter strictly past
-        them, and priming the fingerprint keeps the next render from
-        spending an extra bump on the restore itself.
+        them, and priming the document and its fingerprint keeps the
+        next render from spending an extra bump on the restore itself.
         """
         with self.session(token) as entry:
             entry.generation = max(entry.generation, generation_floor)
-            entry.fingerprint = display_fingerprint(entry.session.display)
+            entry.fingerprint = self._keep_document(
+                entry, render_html(entry.session.display, title=entry.title)
+            )
             entry.dirty = True
 
     def attach_journal(self, journal):
@@ -698,6 +710,13 @@ class SessionHost:
         mutated since the last render), the HTML is not even recomputed —
         the 304 path costs a dirty-flag check.  ``html`` is ``None`` iff
         ``modified`` is False.
+
+        A dirty render builds the document once.  Frozen subtrees the
+        render memo replayed serve their cached fragments, so the build
+        costs what changed, not the page.  A document equal to the cached
+        one is a short circuit (``incremental.html_short_circuits``);
+        otherwise its bytes are hashed, and the generation moves iff the
+        hash does.
         """
         with self.session(token) as entry:
             if entry.quarantined and entry.html is not None:
@@ -705,40 +724,32 @@ class SessionHost:
                 # — a quarantined session never dies, it dims.
                 if if_generation == entry.generation:
                     return None, entry.generation, False
-                self._count("bytes_served", len(entry.html.encode("utf-8")))
+                self._count("bytes_served", entry.html_bytes)
                 return entry.html, entry.generation, True
             if not entry.dirty and if_generation == entry.generation:
                 return None, entry.generation, False
-            html = None
-            fingerprint = None
-            if entry.html is not None and entry.fingerprint is not None:
-                # Incremental short-circuit (repro.incremental): when the
-                # render behind this dirty flag replayed every memoizable
-                # call (zero misses), check the cheap fragment hash first
-                # — if the display fingerprint is unchanged, the cached
-                # document is still exact and the full HTML build is
-                # skipped.
-                reuse = getattr(
-                    entry.session.runtime.system, "last_render_stats", None
-                )
-                if reuse and not reuse.get("misses"):
-                    fingerprint = display_fingerprint(entry.session.display)
-                    if fingerprint == entry.fingerprint:
-                        html = entry.html
-                        self._count("incremental.html_short_circuits")
-            if html is None:
-                html = render_html(entry.session.display, title=entry.title)
-                if fingerprint is None:
-                    fingerprint = display_fingerprint(entry.session.display)
-            if fingerprint != entry.fingerprint:
-                entry.generation += 1
-                entry.fingerprint = fingerprint
-            entry.html = html
+            html = render_html(entry.session.display, title=entry.title)
+            if html == entry.html:
+                html = entry.html
+                self._count("incremental.html_short_circuits")
+            else:
+                fingerprint = self._keep_document(entry, html)
+                if fingerprint != entry.fingerprint:
+                    entry.generation += 1
+                    entry.fingerprint = fingerprint
             entry.dirty = False
             if if_generation == entry.generation:
                 return None, entry.generation, False
-            self._count("bytes_served", len(html.encode("utf-8")))
+            self._count("bytes_served", entry.html_bytes)
             return html, entry.generation, True
+
+    @staticmethod
+    def _keep_document(entry, html):
+        """Cache ``html`` as the entry's document; returns its hash."""
+        data = html.encode("utf-8")
+        entry.html = html
+        entry.html_bytes = len(data)
+        return content_hash(data)
 
     def screenshot(self, token, width=48):
         with self.session(token) as entry:

@@ -19,11 +19,13 @@ RENDER is the only rule that produces a box tree, and it always runs the
 code update is immediately reflected in the view.
 
 The Section 5 optimizations are implementation caching layered *outside*
-the semantics, and every non-faithful system runs both: RENDER consults a
-render memo (:mod:`repro.eval.memo`), and afterwards shares unchanged
-subtrees with the previous valid display (:mod:`repro.boxes.diff`).  The
-observable display is structurally identical to the ``faithful=True``
-oracle, which runs neither; tests assert that.
+the semantics.  Every non-faithful RENDER consults a render memo
+(:mod:`repro.eval.memo`), which splices the frozen subtrees of unchanged
+calls into the new display; the observable display is identical to the
+``faithful=True`` oracle, which does not memoize — tests assert that.
+The paper's other §5 sketch, sharing unchanged box objects with the
+previous display (:mod:`repro.boxes.diff`), belongs to its one consumer,
+the layout engine (:mod:`repro.render.layout`), not to RENDER.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..boxes import diff as box_diff
 from ..boxes.paths import innermost_box_with_attr, resolve
-from ..boxes.tree import STALE
+from ..boxes.tree import STALE, max_display_depth
 from ..core import ast
 from ..core.defs import Code
-from ..core.errors import ReproError, SystemError_, UpdateRejected
+from ..core.errors import (
+    FuelExhausted,
+    ReproError,
+    SystemError_,
+    UpdateRejected,
+)
 from ..core.names import ATTR_EDITABLE, ATTR_ONEDIT, ATTR_ONTAP, START_PAGE
 from ..eval.machine import BigStep, SmallStep
 from ..eval.natives import EMPTY_NATIVES
@@ -82,12 +88,12 @@ class System:
     """A running program: the state σ plus the machinery to step it.
 
     ``faithful`` is the one switch for how the system renders.  The
-    default is the production posture: the backend's machine, a render
-    memo and §5 box reuse.  ``faithful=True`` drives every expression
-    evaluation through the literal small-step machine with neither memo
-    nor reuse — identical observable behaviour (differential tests assert
-    it), an order of magnitude slower, and the configuration under which
-    the metatheory suite checks per-step preservation.
+    default is the production posture: the backend's machine and a
+    render memo.  ``faithful=True`` drives every expression evaluation
+    through the literal small-step machine without a memo — identical
+    observable behaviour (differential tests assert it), an order of
+    magnitude slower, and the configuration under which the metatheory
+    suite checks per-step preservation.
     """
 
     def __init__(
@@ -454,14 +460,16 @@ class System:
                 fuel=self.budget.fuel,
             )
             self._check_deadline("RENDER", virtual_before)
-            if not self.faithful:
-                stats = box_diff.DiffStats()
-                with tracer.span("reuse"):
-                    tree = box_diff.reuse(
-                        self._last_valid_display, tree, stats
-                    )
-                tracer.add("reuse_shared_subtrees", stats.reused_boxes)
-            tracer.add("boxes_rendered", tree.count_boxes())
+            boxes, height = tree.shape()
+            limit = max_display_depth()
+            if height > limit:
+                # Recursion through the render machines runs on explicit
+                # stacks, but the display's consumers recurse per level.
+                raise FuelExhausted(
+                    "the display nests {} boxes deep; at most {} can be "
+                    "shown".format(height, limit)
+                )
+            tracer.add("boxes_rendered", boxes)
             state.display = tree
             self._last_valid_display = tree
             if memo is not None:

@@ -165,3 +165,43 @@ def test_session_host_ops_stay_typed():
     assert response is not None
     deep = host.create(source=source(DEPTH))
     assert host.render(deep) is not None
+
+
+NESTING = '''\
+global depth : number = 3
+
+fun nest(k : number)
+  boxed
+    post "level " || k
+    if k > 0 then
+      nest(k - 1)
+
+page start()
+  render
+    nest(depth)
+    boxed
+      post "deeper"
+      on tap do
+        depth := {depth}
+'''
+
+
+def test_a_display_nested_past_the_stack_is_a_typed_fault():
+    # The machine builds any nesting on its explicit stack, but every
+    # reader of a display recurses once per level: RENDER refuses a tree
+    # its readers could not walk, with the typed resource fault.
+    session = compiled(NESTING.format(depth=1500), fault_policy="record")
+    assert "level 3" in session.screenshot()
+    session.tap_text("deeper")
+    assert fault_types(session) == [FuelExhausted]
+    assert "boxes deep" in render_html(session.display)
+    raising = compiled(NESTING.format(depth=1500))
+    with pytest.raises(FuelExhausted):
+        raising.tap_text("deeper")
+    host = SessionHost(
+        pool_size=2, session_kwargs={"fault_policy": "record"}
+    )
+    token = host.create(source=NESTING.format(depth=1500))
+    host.tap(token, text="deeper")
+    html, _generation, _modified = host.render(token)
+    assert "boxes deep" in html

@@ -13,7 +13,7 @@ from repro.api import LiveSession, Tracer
 from repro.apps.gallery import function_gallery_source
 from repro.core import ast
 from repro.eval.memo import memo_facts
-from repro.incremental import MemoStore
+from repro.incremental import CallKey, MemoStore
 from repro.incremental.store import MAX_VARIANTS_PER_CALL, SessionMemoView
 from repro.render.html_backend import render_html
 from repro.surface.compile import compile_source
@@ -168,8 +168,8 @@ class TestNativeRebind:
             runtime.tap_text("bump")
         store = runtime.system._memo_store
         digests = memo_facts(compiled.code).digests
-        loud = (digests["loud"], ONE)
-        quiet = (digests["quiet"], ONE)
+        loud = CallKey(digests["loud"], ONE)
+        quiet = CallKey(digests["quiet"], ONE)
         assert store.variants(loud) == 3
         assert store.variants(quiet) == 3
         rebound = compile_source(
@@ -216,10 +216,10 @@ class TestPerCallBound:
             runtime.tap_text("tick")
         store = runtime.system._memo_store
         digests = memo_facts(compiled.code).digests
-        assert store.variants((digests["counter"], ONE)) == (
+        assert store.variants(CallKey(digests["counter"], ONE)) == (
             MAX_VARIANTS_PER_CALL
         )
-        assert store.variants((digests["steady"], ONE)) == 1
+        assert store.variants(CallKey(digests["steady"], ONE)) == 1
         assert store.evictions == taps + 1 - MAX_VARIANTS_PER_CALL
         # ``steady`` kept hitting through every tap.
         stats = runtime.system.render_memo.stats()

@@ -1,11 +1,12 @@
 """The bounded LRU memo store: capacity, recency, eviction accounting.
 
-Keys are two-level: a call ``(digest, argument)`` and, under it, the
-read-set values (:class:`ReadValues`) the variant was produced from.
+Keys are two-level: a call (:class:`CallKey`, its ``(digest, argument)``)
+and, under it, the read-set values (:class:`ReadValues`) the variant was
+produced from.
 """
 
 from repro.api import Tracer
-from repro.incremental import MemoEntry, MemoStore, ReadValues
+from repro.incremental import CallKey, MemoEntry, MemoStore, ReadValues
 from repro.incremental.store import MAX_VARIANTS_PER_CALL
 
 NO_READS = ReadValues(())
@@ -16,7 +17,7 @@ def entry(tag):
 
 
 def call(tag):
-    return ("d{}".format(tag), None)
+    return CallKey("d{}".format(tag), None)
 
 
 class TestLRU:
@@ -128,6 +129,14 @@ class TestVariants:
         for _ in range(5):
             assert store.get(call(1), key).value == 1
         assert Counted.hashed == 1
+        # The call key hashes its argument once too, however many dict
+        # operations (lookup, LRU touch) a get or put makes.
+        probe = CallKey("d", Counted())
+        assert Counted.hashed == 2
+        store.put(probe, NO_READS, entry(2))
+        for _ in range(5):
+            assert store.get(probe, NO_READS).value == 2
+        assert Counted.hashed == 2
 
 
 class TestSystemCapPlumbs:

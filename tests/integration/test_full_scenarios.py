@@ -30,17 +30,19 @@ class TestReuseOptimizationEndToEnd:
         assert tree_equal(plain.display, reusing.display)
 
     def test_subtrees_shared_across_renders(self):
+        # The layout engine shares unchanged subtrees with the tree it
+        # laid out last; the display keeps the render's own tree.
         compiled = compile_source(gallery_source(rows=4, cols=3))
         runtime = Runtime(compiled.code, natives=compiled.natives).start()
-        before = runtime.display
+        engine = LayoutEngine()
+        before = [node.box for node in engine.layout(runtime.display).walk()]
         runtime.tap_text("[3.1]")
-        after = runtime.display
+        after = [node.box for node in engine.layout(runtime.display).walk()]
         shared = sum(
-            1
-            for _path, box in after.walk()
-            if any(box is old for _p, old in before.walk())
+            1 for box in after if any(box is old for old in before)
         )
-        assert shared > after.count_boxes() // 2
+        assert len(after) == runtime.display.count_boxes()
+        assert shared > len(after) // 2
 
     def test_layout_cache_benefits(self):
         compiled = compile_source(gallery_source(rows=6, cols=4))

@@ -12,6 +12,7 @@ parse/typecheck/lower/update/render.
 from repro.api import Tracer
 from repro.obs import CATALOG
 from repro.live.session import LiveSession
+from repro.render.layout import LayoutEngine
 from repro.surface.compile import compile_source
 from repro.system.runtime import Runtime
 
@@ -49,6 +50,22 @@ page start()
   render
     for i = 1 to 4 do
       cell(i)
+    boxed
+      post "clicks " || clicks
+      on tap do
+        clicks := clicks + 1
+"""
+
+#: Rows drawn inline (no memoized calls), so only box reuse can share
+#: them between renders.
+ROWS_APP = """\
+global clicks : number = 0
+
+page start()
+  render
+    for i = 1 to 4 do
+      boxed
+        post "row " || i
     boxed
       post "clicks " || clicks
       on tap do
@@ -125,12 +142,17 @@ class TestCounters:
         assert metrics["events_queued"] >= 2
 
     def test_reuse_counter(self):
-        rt, tracer = traced_runtime()
-        baseline = rt.metrics()["reuse_shared_subtrees"]
-        rt.tap_text("count 0")
-        # The tapped counter box changes but the root is shared subtree
-        # material; at minimum the counter moved.
-        assert rt.metrics()["reuse_shared_subtrees"] >= baseline
+        # §5 box reuse is the layout engine's: after a tap, the rows the
+        # tap did not change are the previous layout's objects, so only
+        # the root and the tapped box are measured again.
+        rt, tracer = traced_runtime(ROWS_APP)
+        engine = LayoutEngine()
+        engine.layout(rt.display)
+        rt.tap_text("clicks 0")
+        engine.layout(rt.display)
+        assert engine.cache_misses == 2
+        assert engine.cache_hits >= 4
+        assert "reuse_shared_subtrees" not in rt.metrics()
 
     def test_memo_hits_and_misses(self):
         rt, tracer = traced_runtime(MEMO_APP)

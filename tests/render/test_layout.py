@@ -136,3 +136,30 @@ class TestCache:
         engine.invalidate()
         engine.layout(root)
         assert engine.cache_misses > 0
+
+    def test_layout_shares_unchanged_subtrees_with_the_last_tree(self):
+        engine = LayoutEngine()
+        old = rooted(text_box("aaa"), text_box("bbb"), text_box("ccc"))
+        engine.layout(old)
+        new = rooted(text_box("aaa"), text_box("CHANGED"), text_box("ccc"))
+        node = engine.layout(new)
+        kids = [child.box for child in node.children]
+        assert kids[0] is old.children()[0]
+        assert kids[1] is not old.children()[1]
+        assert kids[1] == new.children()[1]
+        assert kids[2] is old.children()[2]
+        assert engine.cache_misses == 2  # the new root and the new row
+
+    def test_cache_keeps_only_the_last_tree(self):
+        from repro.apps.gallery import gallery_runtime
+
+        runtime = gallery_runtime(rows=6, cols=4)
+        engine = LayoutEngine()
+        cells = ("[1.1]", "[2.3]", "[4.4]")
+        for round_ in range(200):
+            runtime.tap_text(cells[round_ % len(cells)])
+            engine.layout(runtime.display)
+            assert len(engine._measure_cache) <= (
+                runtime.display.count_boxes()
+            )
+        assert engine._previous_measures == {}

@@ -1,14 +1,16 @@
 """``faithful`` is the one switch for how a system renders.
 
 A non-faithful system always runs the production posture: a render memo
-plus §5 box reuse after every RENDER.  ``faithful=True`` runs the
-paper's rules one at a time, with neither.
+on every RENDER.  ``faithful=True`` runs the paper's rules one at a
+time, without it.  §5 box reuse belongs to the layout engine, which
+shares unchanged subtrees with the tree it laid out last.
 """
 
 import pytest
 
 from repro.apps.counter import SOURCE as COUNTER
 from repro.boxes.diff import tree_equal
+from repro.render.layout import LayoutEngine
 from repro.surface.compile import compile_source
 from repro.system.transitions import System
 
@@ -28,8 +30,11 @@ def test_production_posture_memoizes_and_reuses_boxes():
     system, first = rendered_twice()
     assert system.render_memo is not None
     assert system.last_render_stats
-    # Nothing changed, so the second render hands back the first tree.
-    assert system.display is first
+    # Nothing changed, so laying out the second render hands back the
+    # first tree.
+    engine = LayoutEngine()
+    engine.layout(first)
+    assert engine.layout(system.display).box is first
 
 
 def test_faithful_posture_has_neither():
@@ -83,9 +88,9 @@ def _metadata(tree):
 
 def test_edit_that_renumbers_boxes_shows_the_new_ids():
     # Inserting a boxed statement above two equal-looking boxes shifts
-    # their ids without changing what they show; box reuse must not put
-    # the old ids back on screen (select_box would then pick the wrong
-    # statement).
+    # their ids without changing what they show; neither the memo nor
+    # box reuse may put the old ids back on screen (select_box would
+    # then pick the wrong statement).
     from repro.live.session import LiveSession
     from repro.render.html_backend import render_html
 
@@ -108,8 +113,26 @@ def test_edit_that_renumbers_boxes_shows_the_new_ids():
             )
     second = production.select_box((1,))
     assert second.span.start.line > production.select_box((0,)).span.start.line
+    # The layout engine's reuse keeps the new ids too.
+    engine = LayoutEngine()
+    engine.layout(LiveSession(before).display)
+    assert _laid_out_metadata(
+        engine.layout(production.display)
+    ) == _metadata(oracle.display)
+
+
+def _laid_out_metadata(node):
+    return [
+        (laid.path, laid.box.box_id, laid.box.occurrence)
+        for laid in node.walk()
+    ]
 
 
 def test_reused_display_keeps_metadata_of_every_render():
     system, first = rendered_twice()
     assert _metadata(system.display) == _metadata(first)
+    engine = LayoutEngine()
+    engine.layout(first)
+    assert _laid_out_metadata(engine.layout(system.display)) == _metadata(
+        system.display
+    )
