@@ -28,6 +28,7 @@ from ..core.defs import Code
 from ..core.effects import Effect, PURE, RENDER, STATE
 from ..core.errors import (
     EvalError,
+    FuelExhausted,
     ReproError,
     StuckExpression,
 )
@@ -65,6 +66,16 @@ def _check_queue(queue):
     if queue is None:
         raise ReproError("state-mode evaluation requires an event queue")
     return queue
+
+
+def _too_deep():
+    # Each ``boxed`` level nests a run → step → reduce on the Python
+    # stack; past the interpreter's limit the run is out of a resource,
+    # like fuel.
+    return FuelExhausted(
+        "evaluation exceeded the small-step machine's stack depth "
+        "(boxed statements nested too deep)"
+    )
 
 
 class SmallStep:
@@ -225,7 +236,10 @@ class SmallStep:
 
     def run_state(self, store, queue, expr, fuel=DEFAULT_FUEL):
         """``(C, S, Q, e) →s* (C, S', Q', v)`` — returns the final value."""
-        return self.run(expr, STATE, store, queue=queue, fuel=fuel)
+        try:
+            return self.run(expr, STATE, store, queue=queue, fuel=fuel)
+        except RecursionError:
+            raise _too_deep() from None
 
     def run_render(self, store, expr, fuel=DEFAULT_FUEL):
         """``(C, S, ε, e) →r* (C, S, B, v)`` — returns the root box.
@@ -234,11 +248,14 @@ class SmallStep:
         attributes before entering any ``boxed`` statement.
         """
         root = make_root()
-        self.run(
-            expr, RENDER, store, box=root, counters=_OccurrenceCounter(),
-            fuel=fuel,
-        )
-        return root.freeze()
+        try:
+            self.run(
+                expr, RENDER, store, box=root,
+                counters=_OccurrenceCounter(), fuel=fuel,
+            )
+            return root.freeze()
+        except RecursionError:
+            raise _too_deep() from None
 
     def run_pure(self, store, expr, fuel=DEFAULT_FUEL):
         """``(C, S, e) →p* (C, S, v)``."""

@@ -18,8 +18,9 @@ so *many* programs can be live at once:
 * :mod:`repro.serve.batching` — event batching and render coalescing:
   N queued events produce one RENDER, the semantics' "render only on
   quiescence";
-* :mod:`repro.serve.app` — a stdlib-only ``ThreadingHTTPServer`` JSON
-  API behind the ``repro serve`` CLI subcommand.
+* :mod:`repro.serve.app` — a stdlib-only HTTP/1.1 keep-alive JSON API
+  (one header parse and one write per request) behind the ``repro
+  serve`` CLI subcommand.
 
 Everything is standard library only, like the rest of the repository.
 See ``docs/SERVER.md`` for the protocol reference and pooling semantics.

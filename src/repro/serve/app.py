@@ -11,10 +11,21 @@
   (body still JSON, ``"ok": false``) when any worker is down, so load
   balancers and the CI smoke tests read health without parsing.
 
-:class:`http.server.ThreadingHTTPServer` gives one thread per request;
-the :class:`~repro.serve.host.SessionHost` locks make that safe.  No
-framework, no dependency — the whole wire format is ``json`` +
-``Content-Length``.
+**A lean HTTP/1.1 loop.**  A :class:`socketserver.ThreadingTCPServer`
+gives each connection a thread; the handler reads request after request
+off one buffered reader — the request line and headers with
+``readline``, no ``email`` parsing — and writes each response (status
+line, headers, body) with one ``sendall``.  It keeps the limits
+:mod:`http.server` enforced: a line may hold 64 KiB and a head 100
+header lines (431 past either, 414 for the request line),
+``Expect: 100-continue`` is answered before the body is read, HTTP/1.1
+connections stay open unless ``Connection: close``, HTTP/1.0 ones close
+unless ``Connection: keep-alive``.  It refuses what it cannot frame
+safely — a folded header line, conflicting ``Content-Length`` values,
+``Transfer-Encoding``, a garbage request line — and every refusal, like
+every other error, is the protocol's typed JSON envelope; a refusal
+closes the connection.  The :class:`~repro.serve.host.SessionHost`
+locks make the threads safe.
 
 **One HTTP layer, two backends.**  The handler talks to a *face* — an
 object with ``dispatch(request)``, ``healthz()`` and ``tracer`` — not
@@ -27,23 +38,72 @@ typed-error envelopes and graceful drains is therefore written once.
 :func:`shutdown_gracefully` stops the accept loop, waits for the count
 to reach zero (bounded), closes the journal with a clean-shutdown
 marker, then closes the socket — SIGTERM never tears a request midway
-(see :func:`repro.cli.cmd_serve` for the signal wiring).
+(see :func:`repro.cli.cmd_serve` for the signal wiring).  Once shutdown
+begins, a response in flight carries ``Connection: close`` and a new
+request on a kept-alive connection is refused with a typed 503.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 
 from ..core.errors import InjectedFault, ReproError
 from ..obs.metrics import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from ..obs.metrics import render_prometheus
 from .host import SessionHost
-from .protocol import error_response, handle_request
+from .protocol import BadRequest, error_response, handle_request
 
 #: Cap request bodies (sources, batches) well above any legitimate use.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: The limits :mod:`http.server` inherits from :mod:`http.client`.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+_SERVER_HEADER = "repro-serve/1"
+_JSON = "application/json"
+_BLANK = (b"\r\n", b"\n", b"")
+_STATUS_LINES = {
+    status.value: "HTTP/1.1 {} {}\r\n".format(status.value, status.phrase)
+    for status in HTTPStatus
+}
+
+
+class Unavailable(ReproError):
+    """The server is shutting down and takes no new requests."""
+
+
+class _Refusal(Exception):
+    """A request the loop answers with a typed error, then hangs up on."""
+
+    def __init__(self, status, error):
+        super().__init__(str(error))
+        self.status = status
+        self.error = error
+
+
+class _Clock:
+    """The ``Date`` header, formatted at most once a second."""
+
+    def __init__(self):
+        self._second = None
+        self._text = ""
+
+    def date(self):
+        second = int(time.time())
+        if second != self._second:
+            self._text = formatdate(second, usegmt=True)
+            self._second = second
+        return self._text
+
+
+_DATE = _Clock()
 
 
 class _HostFace:
@@ -82,8 +142,65 @@ def _as_face(target):
     )
 
 
-def make_handler(target, quiet=True, chaos=None):
+def _bad(status, message):
+    return _Refusal(status, BadRequest(message))
+
+
+def _read_head(readline):
+    """One request head off a buffered reader.
+
+    Returns ``(method, path, version, headers)`` with header names in
+    lower case, or ``None`` at a clean end of stream; raises
+    :class:`_Refusal` for a head the loop must not serve.
+    """
+    line = readline(MAX_LINE_BYTES + 1)
+    while line in (b"\r\n", b"\n"):  # RFC 9112 §2.2: skip blank lines
+        line = readline(MAX_LINE_BYTES + 1)
+    if not line:
+        return None
+    if len(line) > MAX_LINE_BYTES:
+        raise _bad(414, "request line longer than {} bytes".format(
+            MAX_LINE_BYTES))
+    words = line.decode("latin-1").split()
+    if len(words) != 3 or not words[2].startswith("HTTP/"):
+        raise _bad(400, "malformed request line {!r}".format(
+            line[:80].decode("latin-1").rstrip()))
+    method, path, version = words
+    if version not in ("HTTP/1.1", "HTTP/1.0"):
+        raise _bad(505, "HTTP version {!r} is not supported".format(
+            version))
+    headers = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _bad(431, "header line longer than {} bytes".format(
+                MAX_LINE_BYTES))
+        if line in _BLANK:
+            return method, path, version, headers
+        if line[:1] in (b" ", b"\t"):
+            raise _bad(400, "folded header lines are not accepted")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name != name.strip():
+            raise _bad(400, "malformed header line {!r}".format(
+                line[:80].decode("latin-1").rstrip()))
+        name = name.lower()
+        value = value.strip()
+        known = headers.get(name)
+        if known is None:
+            headers[name] = value
+        elif name == "content-length":
+            if known != value:
+                raise _bad(400, "conflicting Content-Length headers")
+        else:
+            headers[name] = known + ", " + value
+    raise _bad(431, "more than {} header lines".format(MAX_HEADERS))
+
+
+def make_handler(target, chaos=None):
     """The request-handler class bound to one host (or cluster router).
+
+    Each connection runs :meth:`Handler.handle`'s keep-alive loop,
+    which calls ``do_GET`` or ``do_POST`` once per request.
 
     ``chaos`` is an optional
     :class:`~repro.resilience.chaos.FaultInjector`: when its ``"http"``
@@ -93,38 +210,126 @@ def make_handler(target, quiet=True, chaos=None):
     """
     face = _as_face(target)
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "repro-serve/1"
-        # Keep-alive POSTs otherwise hit the Nagle/delayed-ACK
-        # interaction: ~40ms stalls between the response's header and
-        # body segments dwarf every warm render.
-        disable_nagle_algorithm = True
+    class Handler(socketserver.BaseRequestHandler):
+        def setup(self):
+            # Back-to-back small writes (a 100 Continue, then the reply)
+            # otherwise hit the Nagle/delayed-ACK interaction: ~40 ms.
+            self.request.setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, True
+            )
+            self.rfile = self.request.makefile("rb")
 
-        def log_message(self, fmt, *args):  # pragma: no cover - noise
-            if not quiet:
-                BaseHTTPRequestHandler.log_message(self, fmt, *args)
+        def finish(self):
+            self.rfile.close()
+
+        def handle(self):
+            try:
+                while self._serve_one():
+                    pass
+            except OSError:
+                pass  # the peer went away mid-request
+
+        def _serve_one(self):
+            """Serve one request; ``True`` while the connection lives."""
+            self.close_connection = True
+            try:
+                head = _read_head(self.rfile.readline)
+                if head is None:
+                    return False
+                self.command, self.path, self.request_version, headers = head
+                options = {
+                    option.strip() for option in
+                    headers.get("connection", "").lower().split(",")
+                }
+                if self.request_version == "HTTP/1.1":
+                    self.close_connection = "close" in options
+                else:
+                    self.close_connection = "keep-alive" not in options
+                if self.server.closing:
+                    raise _Refusal(
+                        503, Unavailable("the server is shutting down")
+                    )
+                self.body = self._read_body(headers)
+                if self.body is None:
+                    return False
+            except _Refusal as refusal:
+                self.close_connection = True
+                self._respond(
+                    error_response(None, refusal.error), refusal.status
+                )
+                self._linger()
+                return False
+            if self.command == "POST":
+                self.do_POST()
+            else:
+                self.do_GET()
+            return not self.close_connection
+
+        def _read_body(self, headers):
+            """The request body, or ``None`` when the peer hung up."""
+            if self.command not in ("GET", "POST"):
+                raise _bad(501, "method {} is not supported; GET /stats, "
+                                "/healthz or /metrics, POST protocol "
+                                "requests to /".format(self.command))
+            if "transfer-encoding" in headers:
+                raise _bad(501, "Transfer-Encoding is not supported; "
+                                "send Content-Length")
+            length = headers.get("content-length", "0")
+            if not (length.isascii() and length.isdigit()):
+                raise _bad(400, "malformed Content-Length {!r}".format(
+                    length))
+            length = int(length)
+            if length > MAX_BODY_BYTES:
+                raise _bad(413, "body of {} bytes exceeds the {} byte "
+                                "cap".format(length, MAX_BODY_BYTES))
+            if not length:
+                return b""
+            if self.request_version == "HTTP/1.1" and headers.get(
+                    "expect", "").lower() == "100-continue":
+                self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = self.rfile.read(length)
+            return body if len(body) == length else None
+
+        def _linger(self):
+            """Read what the peer still sends, for at most a second, so
+            closing with unread input does not reset the connection
+            before the peer has read the refusal."""
+            deadline = time.monotonic() + 1.0
+            try:
+                self.request.shutdown(socket.SHUT_WR)
+                while deadline > time.monotonic():
+                    self.request.settimeout(deadline - time.monotonic())
+                    if not self.request.recv(65536):
+                        break
+            except (OSError, ValueError):
+                pass
 
         def _respond(self, payload, status=200):
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(status, json.dumps(payload).encode("utf-8"), _JSON)
 
-        def _enter(self):
-            track = getattr(self.server, "track_request", None)
-            if track is not None:
-                track(1)
+        def _send(self, status, body, content_type):
+            """Status line, headers and body in one write."""
+            if self.server.closing:
+                self.close_connection = True
+            if self.close_connection:
+                connection = "Connection: close\r\n"
+            elif self.request_version == "HTTP/1.0":
+                connection = "Connection: keep-alive\r\n"
+            else:
+                connection = ""
+            head = "{}Server: {}\r\nDate: {}\r\nContent-Type: {}\r\n" \
+                "Content-Length: {}\r\n{}\r\n".format(
+                    _STATUS_LINES[status], _SERVER_HEADER, _DATE.date(),
+                    content_type, len(body), connection,
+                )
+            self.request.sendall(head.encode("latin-1") + body)
 
-        def _leave(self):
-            track = getattr(self.server, "track_request", None)
-            if track is not None:
-                track(-1)
+        def _not_found(self, message):
+            self._respond(error_response(None, BadRequest(message)), 404)
 
         def do_GET(self):
-            self._enter()
+            track = self.server.track_request
+            track(1)
             try:
                 if self.path == "/healthz":
                     payload = face.healthz()
@@ -135,72 +340,36 @@ def make_handler(target, quiet=True, chaos=None):
                 elif self.path == "/metrics":
                     metrics_text = getattr(face, "metrics_text", None)
                     if metrics_text is None:
-                        self._respond(
-                            {"ok": False,
-                             "error": {"type": "BadRequest",
-                                       "message": "this face exposes "
-                                                  "no metrics"}},
-                            status=404,
-                        )
+                        self._not_found("this face exposes no metrics")
                     else:
-                        body = metrics_text().encode("utf-8")
-                        self.send_response(200)
-                        self.send_header(
-                            "Content-Type", _METRICS_CONTENT_TYPE
-                        )
-                        self.send_header(
-                            "Content-Length", str(len(body))
-                        )
-                        self.end_headers()
-                        self.wfile.write(body)
+                        self._send(200, metrics_text().encode("utf-8"),
+                                   _METRICS_CONTENT_TYPE)
                 else:
-                    self._respond(
-                        {"ok": False,
-                         "error": {"type": "BadRequest",
-                                   "message": "GET serves /stats, "
-                                              "/healthz and /metrics; "
-                                              "POST protocol requests "
-                                              "to /"}},
-                        status=404,
-                    )
+                    self._not_found("GET serves /stats, /healthz and "
+                                    "/metrics; POST protocol requests "
+                                    "to /")
             finally:
-                self._leave()
+                track(-1)
 
         def do_POST(self):
-            self._enter()
+            track = self.server.track_request
+            track(1)
             try:
                 self._post()
             finally:
-                self._leave()
+                track(-1)
 
         def _post(self):
             if self.path not in ("/", "/api"):
-                self._respond(
-                    {"ok": False,
-                     "error": {"type": "BadRequest",
-                               "message": "POST to / or /api"}},
-                    status=404,
-                )
+                self._not_found("POST to / or /api")
                 return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-            except ValueError:
-                length = -1
-            if length < 0 or length > MAX_BODY_BYTES:
-                self._respond(
-                    {"ok": False,
-                     "error": {"type": "BadRequest",
-                               "message": "missing or oversized body"}},
-                    status=400,
-                )
-                return
-            try:
-                request = json.loads(self.rfile.read(length) or b"null")
+                request = json.loads(self.body or b"null")
             except (ValueError, UnicodeDecodeError):
                 self._respond(
-                    {"ok": False,
-                     "error": {"type": "BadRequest",
-                               "message": "body is not valid JSON"}},
+                    error_response(
+                        None, BadRequest("body is not valid JSON")
+                    ),
                     status=400,
                 )
                 return
@@ -248,34 +417,43 @@ def make_handler(target, quiet=True, chaos=None):
     return Handler
 
 
-def make_server(target, port=0, bind="127.0.0.1", quiet=True, chaos=None):
-    """A ready-to-serve :class:`ThreadingHTTPServer` on ``bind:port``.
+class _Server(socketserver.ThreadingTCPServer):
+    """One thread per connection; counts requests in flight."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self.closing = False
+        self.in_flight = 0
+        self._in_flight_lock = threading.Lock()
+        self.request_drained = threading.Event()
+        self.request_drained.set()
+
+    def track_request(self, delta):
+        with self._in_flight_lock:
+            self.in_flight += delta
+            if self.in_flight == 0:
+                self.request_drained.set()
+            else:
+                self.request_drained.clear()
+
+    def shutdown(self):
+        self.closing = True
+        super().shutdown()
+
+
+def make_server(target, port=0, bind="127.0.0.1", chaos=None):
+    """A ready-to-serve threaded HTTP server on ``bind:port``.
 
     ``target`` is a :class:`SessionHost` or a cluster router face.
     ``port=0`` picks an ephemeral port; read the actual one from
     ``server.server_address[1]``.  The server tracks in-flight requests
     so :func:`shutdown_gracefully` can drain them.
     """
-    server = ThreadingHTTPServer(
-        (bind, port), make_handler(target, quiet=quiet, chaos=chaos)
-    )
-    server.daemon_threads = True
+    server = _Server((bind, port), make_handler(target, chaos=chaos))
     server.repro_host = target
-    in_flight_lock = threading.Lock()
-    drained = threading.Event()
-    drained.set()
-    server.in_flight = 0
-
-    def track_request(delta):
-        with in_flight_lock:
-            server.in_flight += delta
-            if server.in_flight == 0:
-                drained.set()
-            else:
-                drained.clear()
-
-    server.track_request = track_request
-    server.request_drained = drained
     return server
 
 
@@ -296,17 +474,3 @@ def shutdown_gracefully(server, journal=None, drain_timeout=5.0):
         journal.close()
     server.server_close()
     return drained
-
-
-def serve(target, port=0, bind="127.0.0.1", quiet=True, ready=None):
-    """Blocking serve loop; ``ready(server)`` is called once listening."""
-    server = make_server(target, port=port, bind=bind, quiet=quiet)
-    if ready is not None:
-        ready(server)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    finally:
-        server.server_close()
-    return server

@@ -225,7 +225,8 @@ class SessionHost:
         self.repair = repair
         self._lock = threading.Lock()          # registry + LRU order
         self._metrics_lock = threading.Lock()  # tracer counter updates
-        self._entries = OrderedDict()          # token -> _Entry, LRU order
+        self._entries = {}                     # token -> _Entry, every one
+        self._resident = OrderedDict()         # token -> _Entry, LRU order
 
     # -- metrics ------------------------------------------------------------
 
@@ -267,6 +268,7 @@ class SessionHost:
                     "token {!r} is already registered".format(token)
                 )
             self._entries[token] = entry
+            self._resident[token] = entry
         if self.journal is not None:
             self.journal.record_create(token, source, entry.title)
         self._count("sessions_created")
@@ -320,6 +322,7 @@ class SessionHost:
                     "token {!r} is already registered".format(token)
                 )
             self._entries[token] = entry
+            self._resident[token] = entry
         self._enforce_capacity(protect=entry)
         return token
 
@@ -380,7 +383,8 @@ class SessionHost:
                 raise UnknownToken(
                     "no session with token {!r}".format(token)
                 )
-            self._entries.move_to_end(token)
+            if token in self._resident:
+                self._resident.move_to_end(token)
             return entry
 
     def session(self, token):
@@ -405,37 +409,44 @@ class SessionHost:
         )
         entry.image = None
         entry.dirty = True  # recompute + compare; generation is stable
+        with self._lock:
+            if self._entries.get(entry.token) is entry:  # not destroyed
+                self._resident[entry.token] = entry  # most recently used
         self._count("sessions_rehydrated")
         self._enforce_capacity(protect=entry)
 
     # -- eviction -----------------------------------------------------------
 
-    def _resident_count(self):
-        return sum(1 for e in self._entries.values() if e.resident)
-
     def _enforce_capacity(self, protect=None):
         """Evict LRU idle residents until the pool fits ``pool_size``.
 
-        Busy sessions (their lock is held) are skipped — they are in use,
-        hence not idle; the pool may transiently overflow if everything
-        is busy.  Lock order is registry → entry(non-blocking), which
-        cannot deadlock against the entry → registry order used by
-        rehydration.
+        Only resident entries are walked (``_resident``, kept in LRU
+        order beside the full registry), so the cost follows the pool,
+        not the number of evicted sessions.  Busy sessions (their lock
+        is held) are skipped — they are in use, hence not idle; the pool
+        may transiently overflow if everything is busy.  Lock order is
+        registry → entry(non-blocking), which cannot deadlock against
+        the entry → registry order used by rehydration and ``evict``.
         """
         with self._lock:
-            excess = self._resident_count() - self.pool_size
+            excess = len(self._resident) - self.pool_size
             if excess <= 0:
                 return 0
             evicted = 0
-            for entry in list(self._entries.values()):  # LRU order
+            for entry in list(self._resident.values()):  # LRU order
                 if excess <= 0:
                     break
-                if entry is protect or not entry.resident:
+                if not entry.resident:  # ``evict`` is dropping it
+                    del self._resident[entry.token]
+                    excess -= 1
+                    continue
+                if entry is protect:
                     continue
                 if not entry.lock.acquire(blocking=False):
                     continue
                 try:
                     self._evict_entry(entry)
+                    del self._resident[entry.token]
                     evicted += 1
                     excess -= 1
                 finally:
@@ -471,6 +482,8 @@ class SessionHost:
             if not entry.resident:
                 return False
             self._evict_entry(entry)
+            with self._lock:
+                self._resident.pop(token, None)
             return True
 
     def evicted(self, token):
@@ -1024,6 +1037,7 @@ class SessionHost:
         """Forget a session entirely (resident or evicted)."""
         with self._lock:
             entry = self._entries.pop(token, None)
+            self._resident.pop(token, None)
         if entry is not None and self.journal is not None:
             self.journal.record_destroy(token)
         return entry is not None
@@ -1039,7 +1053,7 @@ class SessionHost:
         make the host look dead.
         """
         with self._lock:
-            resident = self._resident_count()
+            resident = len(self._resident)
             total = len(self._entries)
             quarantined = sum(
                 1 for e in self._entries.values() if e.quarantined

@@ -205,3 +205,22 @@ def test_a_display_nested_past_the_stack_is_a_typed_fault():
     host.tap(token, text="deeper")
     html, _generation, _modified = host.render(token)
     assert "boxes deep" in html
+
+
+def test_the_faithful_machine_turns_deep_nesting_into_a_typed_fault():
+    # The small-step oracle nests Python frames per ``boxed`` level; a
+    # page nested past the interpreter's stack must still end in the
+    # typed resource fault, from the constructor and from a tap alike.
+    deep = NESTING.format(depth=1200).replace(
+        "depth : number = 3", "depth : number = 1200"
+    )
+    recorded = LiveSession(deep, faithful=True, fault_policy="record")
+    assert fault_types(recorded) == [FuelExhausted]
+    with pytest.raises(FuelExhausted):
+        LiveSession(deep, faithful=True)
+    shallow = LiveSession(
+        NESTING.format(depth=1200), faithful=True, fault_policy="record"
+    )
+    assert "level 3" in shallow.screenshot()
+    shallow.tap_text("deeper")
+    assert fault_types(shallow) == [FuelExhausted]

@@ -129,6 +129,49 @@ class TestEviction:
         assert stats["pool_size"] == 2
         assert stats["metrics"]["sessions_evicted"] == 3
 
+    def test_pool_bookkeeping_examines_residents_only(self, monkeypatch):
+        from repro.serve import host as host_module
+
+        host = make_host(pool_size=16)
+        tokens = [host.create() for _ in range(2016)]
+        assert host.stats()["evicted"] == 2000
+        examined = []
+        plain = host_module._Entry.resident
+
+        def counting(entry):
+            examined.append(entry.token)
+            return plain.fget(entry)
+
+        monkeypatch.setattr(
+            host_module._Entry, "resident", property(counting)
+        )
+        bound = host.pool_size + 4
+
+        def examined_by(action):
+            examined.clear()
+            action()
+            return len(examined)
+
+        assert examined_by(host._enforce_capacity) <= bound
+        assert examined_by(host.create) <= bound
+        # A tap on an evicted session rehydrates it, then evicts the
+        # least recently used resident.
+        assert examined_by(
+            lambda: host.tap(tokens[0], text="count: 0")
+        ) <= bound
+        stats = host.stats()
+        assert (stats["resident"], stats["evicted"]) == (16, 2001)
+
+    def test_destroy_and_evict_keep_the_resident_count(self):
+        host = make_host(pool_size=2)
+        first, second, third = (host.create() for _ in range(3))
+        assert host.evicted(first)
+        assert host.evict(second)
+        host.destroy(third)
+        host.tap(first, text="count: 0")  # rehydrates
+        stats = host.stats()
+        assert (stats["sessions"], stats["resident"]) == (2, 1)
+
 
 class TestEditWhileEvicted:
     def test_edit_on_evicted_session_applies_fixup(self):
