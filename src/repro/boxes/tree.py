@@ -18,8 +18,9 @@ paper's "the display content cannot be read by the code".
 navigation and never participate in structural equality.
 
 A frozen box never changes again, so it also carries facts derived from
-its subtree, computed on first use: its box count, its nesting height
-and (filled in by :mod:`repro.render.html_backend`) its HTML fragment.
+its subtree, computed on first use: its box count and nesting height
+and (filled in by :mod:`repro.render.html_backend`'s one pass) the size
+of the largest fragment-keeping box below it and its HTML fragment.
 The render memo splices the same frozen subtrees into every display
 that replays them, so those facts are computed once per subtree, not
 once per render.
@@ -77,8 +78,8 @@ class Box(BoxItem):
         #: a boxed statement in a loop yields many occurrences (Fig. 2).
         self.occurrence = occurrence
         self._frozen = False
-        # Derived facts of a frozen subtree (see shape, fragment_reach
-        # and repro.render.html_backend).
+        # Derived facts of a frozen subtree (see shape and
+        # repro.render.html_backend._fragment).
         self._shape = None
         self._reach = None
         self._fragment = None
@@ -192,34 +193,6 @@ class Box(BoxItem):
     def count_boxes(self):
         """Total number of boxes in the tree (benchmark metric)."""
         return self.shape()[0]
-
-    def fragment_reach(self):
-        """Box count of the largest box in this subtree that keeps its
-        HTML fragment (0 when none does).
-
-        The rule that keeps cached markup linear in the document: a
-        frozen box keeps its fragment only if it has at least twice the
-        boxes of the largest keeper below it.  Keepers on any root-to-
-        leaf path then at least double in size, so a box's markup is
-        held by at most ``1 + log2(boxes)`` fragments, whatever the
-        tree's shape (a naive cache on a deep chain holds quadratic
-        text).  Structural, so it is decided once per frozen box.
-        """
-        reach = self._reach
-        if reach is None:
-            below = 0
-            for item in self.items:
-                if isinstance(item, Box):
-                    below = max(below, item.fragment_reach())
-            count = self.count_boxes()
-            reach = count if self._frozen and count >= 2 * below else below
-            if self._frozen:
-                self._reach = reach
-        return reach
-
-    def keeps_fragment(self):
-        """Does this (frozen) box cache its HTML fragment?"""
-        return self._frozen and self.fragment_reach() == self.count_boxes()
 
     def count_items(self):
         """Total number of content items in the tree (benchmark metric)."""

@@ -43,11 +43,12 @@ which keeps the suspended callers in a list.  Recursion depth is then
 bounded by memory, not by the interpreter's stack, as in the tree
 machines.  Every other function compiles to plain closures.  Runtime
 values are the closed AST values of :mod:`repro.core.ast` (never a
-separate representation): a lambda value is reconstructed by
-substituting its captured environment values into the original ``Lam``
-node, which — because whole-program evaluation only ever substitutes
-*closed* values, where capture-avoidance never renames — yields the
-exact AST the substitution machines produce.  That is what makes
+separate representation): a tuple of locals is built straight from the
+env slots, and a lambda value is rebuilt by substituting all its
+captured environment values into the original ``Lam`` node in one pass,
+which — because whole-program evaluation only ever substitutes *closed*
+values, where capture-avoidance never renames — yields the exact AST
+the substitution machines produce.  That is what makes
 renders, stores, handlers crossing runs through box attributes, and
 memo entries indistinguishable across machines.
 
@@ -66,6 +67,8 @@ still nests Python frames; past the interpreter's limit it ends in
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from ..boxes.tree import Box, make_root
 from ..core import ast
@@ -408,29 +411,8 @@ class CompiledUnit(RecursionCompiler):
                 return value.items[index - 1]
 
             return run_proj
-        if kind is ast.Tuple:
-            item_fns = tuple(
-                self._compile(item, scope, frame, False)
-                for item in expr.items
-            )
-
-            def run_tuple(rt, env):
-                return ast.Tuple(tuple(fn(rt, env) for fn in item_fns))
-
-            return run_tuple
-        if kind is ast.ListLit:
-            item_fns = tuple(
-                self._compile(item, scope, frame, False)
-                for item in expr.items
-            )
-            element_type = expr.element_type
-
-            def run_list(rt, env):
-                return ast.ListLit(
-                    tuple(fn(rt, env) for fn in item_fns), element_type
-                )
-
-            return run_list
+        if kind is ast.Tuple or kind is ast.ListLit:
+            return self._compile_items(expr, scope, frame)
         if kind is ast.GlobalWrite:
             return self._compile_write(expr, scope, frame)
         if kind is ast.Push:
@@ -491,28 +473,65 @@ class CompiledUnit(RecursionCompiler):
     def _compile_value(self, expr, scope):
         """A value: constant unless it captures in-scope variables.
 
-        Values may contain free variables (a lambda body's inner lambda,
-        a tuple of variables): the tree machines would have substituted
+        Values may contain free variables (a tuple of locals, a lambda
+        body's inner lambda): the tree machines would have substituted
         them by the time the node is reached, so the compiled machine
-        substitutes the captured environment values here.  All runtime
-        values are closed, so substitution never alpha-renames and the
-        result is the exact AST the substitution machines build.
+        fills in the captured environment values here.  A tuple or list
+        is built directly from its items — a tuple of locals, such as a
+        loop's state or a call's arguments, straight from the env slots.
+        A lambda is rebuilt by one :func:`~repro.core.ast.subst_closed`
+        pass over all its captured names.  All runtime values are closed,
+        so nothing is alpha-renamed and the result is the exact AST the
+        substitution machines build one name at a time.
         """
-        captured = [
-            (name, scope[name])
-            for name in sorted(ast.free_vars(expr), key=lambda n: scope.get(n, -1))
-            if name in scope
-        ]
-        if not captured:
+        free = ast.free_vars(expr)
+        if not any(name in scope for name in free):
             return lambda rt, env: expr
+        kind = type(expr)
+        if kind is ast.Tuple:
+            slots = [
+                scope.get(item.name) for item in expr.items
+                if type(item) is ast.Var
+            ]
+            if len(slots) == len(expr.items) and None not in slots:
+                if len(slots) == 1:
+                    (slot,) = slots
+                    return lambda rt, env: ast.Tuple((env[slot],))
+                pick = itemgetter(*slots)
+                return lambda rt, env: ast.Tuple(pick(env))
+        if kind is ast.Tuple or kind is ast.ListLit:
+            return self._compile_items(expr, scope, None)
+        captured = tuple(
+            (name, scope[name]) for name in free if name in scope
+        )
 
         def run_capture(rt, env):
-            value = expr
-            for name, index in captured:
-                value = ast.subst(value, name, env[index])
-            return value
+            return ast.subst_closed(
+                expr, {name: env[index] for name, index in captured}
+            )
 
         return run_capture
+
+    def _compile_items(self, expr, scope, frame):
+        """A tuple or list literal, built from its items' closures (a
+        value's items are values, which never bind, so ``frame`` may
+        be None)."""
+        item_fns = tuple(
+            self._compile(item, scope, frame, False) for item in expr.items
+        )
+        if type(expr) is ast.Tuple:
+            def run_tuple(rt, env):
+                return ast.Tuple(tuple(fn(rt, env) for fn in item_fns))
+
+            return run_tuple
+        element_type = expr.element_type
+
+        def run_list(rt, env):
+            return ast.ListLit(
+                tuple(fn(rt, env) for fn in item_fns), element_type
+            )
+
+        return run_list
 
     def _compile_read(self, name):
         slot = self._slot_of.get(name)

@@ -434,6 +434,37 @@ def _subst(expr, name, value, value_free):
     return rebuild(expr, new_kids)
 
 
+def subst_closed(expr, bindings):
+    """Simultaneous substitution ``expr[v1/x1, ..., vn/xn]`` of *closed*
+    values, in one pass.
+
+    ``bindings`` maps names to closed values.  No binder can capture a
+    closed value, so nothing is alpha-renamed, and the result is the
+    tree that :func:`subst` one name at a time would build.
+    """
+    if isinstance(expr, Var):
+        return bindings.get(expr.name, expr)
+    if isinstance(expr, Lam):
+        if expr.param in bindings:
+            bindings = {
+                name: value for name, value in bindings.items()
+                if name != expr.param
+            }
+            if not bindings:
+                return expr
+        body = subst_closed(expr.body, bindings)
+        if body is expr.body:
+            return expr
+        return Lam(expr.param, expr.param_type, body, expr.effect)
+    kids = children(expr)
+    if not kids:
+        return expr
+    new_kids = [subst_closed(child, bindings) for child in kids]
+    if all(new is old for new, old in zip(new_kids, kids)):
+        return expr
+    return rebuild(expr, new_kids)
+
+
 def is_closed(expr):
     """Does ``expr`` have no free variables?"""
     return not free_vars(expr)

@@ -15,7 +15,7 @@ which have no meaning outside the running system.
 from __future__ import annotations
 
 import hashlib
-import html as html_escape
+from html import escape
 
 from ..boxes.attributes import ATTRIBUTE_ENV, as_number, as_string
 from ..boxes.tree import AttrSet, Box, Leaf
@@ -38,6 +38,8 @@ _STYLE_KEYS = {
         "flex-direction:row" if v else "flex-direction:column"
     ),
 }
+#: Handler attributes, flagged as ``data-`` annotations in this order.
+_HANDLERS = (names.ATTR_ONTAP, names.ATTR_ONEDIT)
 
 
 def _css_color(name):
@@ -47,8 +49,14 @@ def _css_color(name):
 
 def box_style(box):
     """The inline CSS for one box's effective attributes."""
+    return _style(box.attributes())
+
+
+def _style(attributes):
+    """The inline CSS for an ``{name: value}`` map of effective
+    attributes."""
     rules = ["display:flex", "flex-direction:column"]
-    for attr_name, value in box.attributes().items():
+    for attr_name, value in attributes.items():
         style = _STYLE_KEYS.get(attr_name)
         if style is None:
             continue
@@ -65,58 +73,90 @@ def render_html_fragment(box, indent=0):
     """One box (and its content) as an HTML fragment."""
     if not isinstance(box, Box):
         raise ReproError("render_html_fragment expects a Box")
-    return _fragment(box, indent, keep=False)
+    return _fragment(box, indent, keep=False)[0]
 
 
 def _fragment(box, indent, keep=True):
-    """``box``'s markup at ``indent``, served from and kept in the box.
+    """``(text, boxes, height, reach)`` of ``box`` at ``indent``, in one
+    walk of its items.
 
-    A frozen box's markup never changes, so the fragment is cached on the
-    box — keyed by indent, because leaf text may contain newlines and a
-    fragment is therefore never re-indented.  Memo replay splices the
-    same frozen subtrees into every render (and, over a shared store,
-    into every session), so a replayed subtree costs one slot read.
-    Only boxes that :meth:`~repro.boxes.tree.Box.keeps_fragment` store
-    theirs, which bounds cached text to ``1 + log2(boxes)`` times the
-    document; ``keep=False`` (the page root, whose document the caller
+    ``text`` is the box's markup; ``boxes`` and ``height`` are its
+    :meth:`~repro.boxes.tree.Box.shape`; ``reach`` is the box count of
+    the largest box in the subtree that keeps its fragment (0 when none
+    does).  The handler flags, style, leaves and children all come from
+    the same pass over ``box.items``, and the shape and reach are summed
+    from the children as the recursion returns.  A frozen box stores
+    its shape and reach, and its fragment if it keeps one.
+
+    A frozen box's markup never changes, so the fragment is cached on
+    the box — keyed by indent, because leaf text may contain newlines
+    and a fragment is therefore never re-indented.  Memo replay splices
+    the same frozen subtrees into every render (and, over a shared
+    store, into every session), so a replayed subtree costs one slot
+    read.  ``keep=False`` (the page root, whose document the caller
     holds anyway) stores nothing.
 
+    Cached markup stays linear in the document: a frozen box keeps its
+    fragment only if it has at least twice the boxes of the largest
+    keeper below it.  Keepers on any root-to-leaf path then at least
+    double in size, so a box's markup is held by at most
+    ``1 + log2(boxes)`` fragments, whatever the tree's shape (a naive
+    cache on a deep chain holds quadratic text).
+
     Two threads rendering one shared box may both miss and both write
-    the slot.  That race is benign: the box is immutable, so both compute
-    the same text, and a slot assignment is atomic — a reader sees
-    either nothing or a complete ``(indent, text)`` pair.
+    the slots.  That race is benign: the box is immutable, so both
+    compute the same values, and a slot assignment is atomic — a reader
+    sees either nothing or a complete ``(indent, text)`` pair, and the
+    fragment is written last.
     """
     cached = box._fragment
     if cached is not None and cached[0] == indent:
-        return cached[1]
+        return (cached[1],) + box._shape + (box._reach,)
     pad = "  " * indent
-    handlers = [
-        name
-        for name in (names.ATTR_ONTAP, names.ATTR_ONEDIT)
-        if box.has_attr(name)
-    ]
-    data = "".join(' data-{}="1"'.format(h) for h in handlers)
+    leaf_open = pad + "  <span>"
+    body = []
+    attributes = {}
+    boxes, below, reach_below = 1, 0, 0
+    for item in box.items:
+        kind = type(item)
+        if kind is Leaf:
+            body.append(
+                leaf_open + escape(format_for_post(item.value)) + "</span>"
+            )
+        elif kind is AttrSet:
+            attributes[item.name] = item.value
+        else:
+            text, kid_boxes, kid_height, kid_reach = _fragment(
+                item, indent + 1
+            )
+            body.append(text)
+            boxes += kid_boxes
+            if kid_height > below:
+                below = kid_height
+            if kid_reach > reach_below:
+                reach_below = kid_reach
+    data = "".join(
+        ' data-{}="1"'.format(name) for name in _HANDLERS
+        if name in attributes
+    )
     if box.box_id is not None:
         data += ' data-box-id="{}" data-occurrence="{}"'.format(
             box.box_id, box.occurrence
         )
-    lines = [
-        '{}<div style="{}"{}>'.format(pad, box_style(box), data)
-    ]
-    for item in box.items:
-        if isinstance(item, Leaf):
-            lines.append(
-                "{}  <span>{}</span>".format(
-                    pad, html_escape.escape(format_for_post(item.value))
-                )
-            )
-        elif isinstance(item, Box):
-            lines.append(_fragment(item, indent + 1))
-    lines.append("{}</div>".format(pad))
-    text = "\n".join(lines)
-    if keep and box.keeps_fragment():
-        box._fragment = (indent, text)
-    return text
+    body.append(pad + "</div>")
+    text = '{}<div style="{}"{}>\n'.format(
+        pad, _style(attributes), data
+    ) + "\n".join(body)
+    height = below + 1
+    if box._frozen:
+        reach = boxes if boxes >= 2 * reach_below else reach_below
+        box._shape = (boxes, height)
+        box._reach = reach
+        if keep and reach == boxes:
+            box._fragment = (indent, text)
+    else:
+        reach = reach_below
+    return text, boxes, height, reach
 
 
 def render_html(display, title="repro page"):
@@ -125,7 +165,7 @@ def render_html(display, title="repro page"):
         "<!DOCTYPE html>\n<html>\n<head>\n"
         '<meta charset="utf-8"/>\n<title>{}</title>\n'
         "</head>\n<body>\n{}\n</body>\n</html>\n".format(
-            html_escape.escape(title), render_html_fragment(display, 1)
+            escape(title), render_html_fragment(display, 1)
         )
     )
 

@@ -1,7 +1,7 @@
 """Frozen boxes cache their HTML fragments; the markup never changes.
 
-A frozen box keeps its fragment (keyed by indent) when
-:meth:`~repro.boxes.tree.Box.keeps_fragment` says so, and memo replay
+A frozen box keeps its fragment (keyed by indent) when the HTML pass
+decides it should (``repro.render.html_backend._fragment``), and memo replay
 shares frozen subtrees between renders and sessions.  The oracle for
 every document here is :func:`render_html` of a structural copy of the
 tree that was never frozen, so it cannot have read a cached fragment.
