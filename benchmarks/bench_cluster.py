@@ -1,4 +1,4 @@
-"""E8 — sharded cluster serving with one shared memo store per worker.
+"""E8 — sharded cluster serving; every serving process shares renders.
 
 The workload is a **fleet opening the same app**: ``sessions`` sessions
 of the function-gallery (every row and cell a memoizable helper call)
@@ -6,25 +6,26 @@ are created over HTTP and rendered, driven by concurrent client
 threads.  Three server shapes run the identical workload:
 
 * ``single``     — one ``SessionHost`` behind HTTP, the stock
-  ``repro serve`` posture.  Every session pays the full cold render:
-  per-session memo stores cannot share.
+  ``repro serve`` posture: one memo store shared by all its sessions.
 * ``cluster-1``  — one worker behind the cluster front (routing and
   journaling overhead, one memo store shared by the worker's sessions).
 * ``cluster-4``  — four workers, per-worker write-ahead journals, one
   shared memo store in each worker.
 
-The cluster's headline win on this workload is **work avoidance**, not
-CPU parallelism: the first session on a worker to render a frame leaves
-its memo entries in the worker's store, and every later session on that
-worker revalidates them instead of re-evaluating.  That makes the
-speedup largely machine-independent (it survives a single-core CI
-runner), which is why the ``--check`` gate asserts the within-run
-``cluster-4`` / ``single`` throughput ratio rather than any absolute
-number.  On multi-core machines CPU parallelism stacks on top.
+Every shape avoids work the same way: the first session in a process
+to render a frame leaves its memo entries in that process's store, and
+every later session there replays them instead of re-evaluating.  The
+``--check`` gate asserts exactly that, as a machine-independent
+within-run share: on ``single`` and on ``cluster-4``, the share of memo
+lookups answered by an entry another session produced
+(``cluster.memo.shared_hits`` over the store's ``lookups``) must reach
+:data:`CHECK_SHARED_FLOOR`.  With sharing switched off no lookup is
+answered by another session and the gate fails.  Throughput ratios
+between the shapes are recorded but not gated: with renders shared
+everywhere, ``single`` skips the front's frame round trips and
+outserves ``cluster-4`` on a small machine.
 
-Appends to ``BENCH_cluster.json``; the committed ``baseline`` records
-document the ≥2x aggregate req/s of ``cluster-4`` over ``single`` on
-the recording machine.
+Appends to ``BENCH_cluster.json``.
 
 Runs two ways::
 
@@ -61,10 +62,14 @@ from repro.stdlib.web import make_services, web_host_impls
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_cluster.json"
 
-#: --check fails when cluster-4 stops beating single-process by this
-#: factor on the shared-app fleet workload (within one run — no
-#: machine-dependent absolute numbers).
-CHECK_RATIO_FLOOR = 1.5
+#: --check fails when, on ``single`` or ``cluster-4``, fewer than this
+#: share of memo lookups are answered by another session's entry.  The
+#: quick fleet's ideal is about 0.79 on one store and 0.45 on four (each
+#: worker's first session renders cold); concurrent cold starts only
+#: lower it toward the floor.
+CHECK_SHARED_FLOOR = 0.3
+#: The shapes the gate reads.
+GATED_MODES = ("single", "cluster-4")
 
 
 # The one shared nearest-rank implementation (repro.obs.histo) —
@@ -200,12 +205,12 @@ def run_mode(mode, sessions=32, rows=12, cols=6, drivers=4):
             supervisor.stop()
             shutil.rmtree(journal_root, ignore_errors=True)
     shared_hits = metrics.get("cluster.memo.shared_hits", 0)
-    # Lookups into the workers' shared stores (the single host has
-    # none): shared_hits / lookups is the fraction satisfied by another
-    # session's work.
+    # Lookups into the shared stores — the host's own, or each
+    # worker's: shared_hits / lookups is the fraction satisfied by
+    # another session's work.
+    hosts = raw["stats"].get("workers", {}).values() or [raw["stats"]]
     memo_lookups = sum(
-        (worker.get("shared_memo") or {}).get("lookups", 0)
-        for worker in raw["stats"].get("workers", {}).values()
+        (host.get("shared_memo") or {}).get("lookups", 0) for host in hosts
     )
     return {
         "mode": mode,
@@ -282,14 +287,34 @@ def describe(result):
 # -- suite entry points ------------------------------------------------------
 
 
-def run_gate(label, attempts=2):
-    """Quick-sized run(s) gated on the within-run throughput ratio.
+def gate_failures(results):
+    """Why ``results`` fail the gate: one line per gated shape that had
+    failed requests or shared too little (empty when the gate holds)."""
+    problems = []
+    for result in results:
+        if result["mode"] not in GATED_MODES:
+            continue
+        if result["failures"]:
+            problems.append("{}: {} failed sessions".format(
+                result["mode"], result["failures"]))
+        if result["shared_hit_rate"] < CHECK_SHARED_FLOOR:
+            problems.append(
+                "{}: shared hit share {:.2f} < {:.2f}".format(
+                    result["mode"], result["shared_hit_rate"],
+                    CHECK_SHARED_FLOOR,
+                )
+            )
+    return problems
 
-    Perf ratios on a loaded runner are noisy; the gate takes the best
-    of ``attempts`` runs, which keeps a transient scheduling hiccup
-    from failing CI while a real regression still fails every attempt.
+
+def run_gate(label, attempts=2):
+    """Quick-sized run(s) gated on the within-run shared-hit shares.
+
+    Concurrent cold starts move the shares from run to run; the gate
+    takes the first passing of ``attempts`` runs, which keeps a
+    transient scheduling pile-up from failing CI while a real
+    regression (no sharing at all) still fails every attempt.
     """
-    best = None
     for _ in range(attempts):
         results, summary = run_suite(
             sessions=24, rows=10, cols=5, drivers=4
@@ -297,52 +322,38 @@ def run_gate(label, attempts=2):
         for result in results:
             record(result, label)
         record(summary, label)
-        if best is None or (summary["cluster4_vs_single"]
-                            > best[1]["cluster4_vs_single"]):
-            best = (results, summary)
-        if summary["cluster4_vs_single"] >= CHECK_RATIO_FLOOR:
+        problems = gate_failures(results)
+        if not problems:
             break
-    return best
+    return results, summary, problems
 
 
-def test_cluster_beats_single_process_via_shared_memo():
-    results, summary = run_gate("suite")
+def test_sessions_in_one_process_warm_each_other():
+    results, _summary, problems = run_gate("suite")
+    assert not problems, problems
     by_mode = {result["mode"]: result for result in results}
-    assert by_mode["cluster-4"]["failures"] == 0
-    # The shared store must actually fire: later sessions on a worker
-    # ride earlier sessions' renders.
-    assert by_mode["cluster-4"]["shared_hits"] > 0
-    assert by_mode["single"]["shared_hits"] == 0
-    # Work avoidance, not parallelism: the gate holds on one core.
-    assert summary["cluster4_vs_single"] >= CHECK_RATIO_FLOOR, summary
+    assert by_mode["cluster-1"]["failures"] == 0
+    assert by_mode["cluster-1"]["shared_hits"] > 0
 
 
 def main(argv=None):
     args = gate_arguments(
         argv, __doc__,
         quick="small CI-sized run (24 sessions of a 10x5 gallery)",
-        check="CI gate: run quick and fail unless cluster-4 beats "
-              "single-process by {:.1f}x within this run".format(
-                  CHECK_RATIO_FLOOR
-              ),
+        check="CI gate: run quick and fail unless, on {}, at least {:.0%} "
+              "of memo lookups are answered by another session's "
+              "entry".format(" and ".join(GATED_MODES), CHECK_SHARED_FLOOR),
     )
     if args.check:
-        results, summary = run_gate("quick")
+        results, summary, problems = run_gate("quick")
         for result in results:
             print(describe(result))
         print(describe(summary))
-        ok = summary["cluster4_vs_single"] >= CHECK_RATIO_FLOOR
-        shared = next(
-            r for r in results if r["mode"] == "cluster-4"
-        )["shared_hits"]
-        print(
-            "check: cluster-4 vs single {:.2f}x (floor {:.1f}x), "
-            "{} shared hits — {}".format(
-                summary["cluster4_vs_single"], CHECK_RATIO_FLOOR,
-                shared, "ok" if ok and shared else "REGRESSED",
-            )
-        )
-        return 0 if ok and shared else 1
+        print("check: shared hit share floor {:.2f} on {} — {}".format(
+            CHECK_SHARED_FLOOR, ", ".join(GATED_MODES),
+            "REGRESSED: " + "; ".join(problems) if problems else "ok",
+        ))
+        return 1 if problems else 0
     if args.quick:
         results, summary = run_suite(
             sessions=24, rows=10, cols=5, drivers=4

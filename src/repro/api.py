@@ -16,8 +16,9 @@ One front door for the five classes an embedding application needs:
 The cluster layer (:mod:`repro.cluster`) is re-exported by name:
 :class:`ClusterSupervisor` / :class:`ClusterRouter` shard a host across
 worker processes behind one HTTP front, and :class:`MemoStore` is the
-shared render-memo cache sessions can be pointed at via the
-``memo_store`` keyword.
+render-memo cache every :class:`SessionHost` shares among its sessions
+(a standalone session can be pointed at one via the ``memo_store``
+keyword).
 
 The journal's observability layer (:mod:`repro.provenance`) is
 re-exported by name: :class:`TimeMachine` plus the three query

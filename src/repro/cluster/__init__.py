@@ -14,9 +14,9 @@ one process; this package shards that host across N worker processes:
 ``kill -9`` of any worker is invisible beyond latency: the slot's
 write-ahead journal (:mod:`repro.resilience`) rebuilds every session in
 the respawn, byte-identical, with strictly increasing display
-generations.  Sessions on the same worker warm each other through the
-worker's one digest-keyed
-:class:`~repro.incremental.store.MemoStore`.
+generations.  Sessions on the same worker warm each other through its
+host's one digest-keyed :class:`~repro.incremental.store.MemoStore`,
+exactly as on a single-process host.
 """
 
 from .frontend import ClusterRouter, WorkerUnavailable

@@ -138,7 +138,6 @@ class ClusterSupervisor:
         fuel=None,
         deadline=None,
         latency=None,
-        memo_entries=4096,
         bind="127.0.0.1",
         connections_per_worker=4,
         ping_interval=1.0,
@@ -165,7 +164,6 @@ class ClusterSupervisor:
             "fuel": fuel,
             "deadline": deadline,
             "latency": latency,
-            "memo_entries": memo_entries,
             "drain_timeout": drain_timeout,
             # Live repair (repro.repair): True or a RepairBudget-field
             # dict arms automatic search on every worker; searches run

@@ -46,7 +46,6 @@ import sys
 import threading
 
 from ..core.errors import EvalError, ReproError
-from ..incremental.store import MemoStore
 from ..obs.sinks import filter_trace
 from ..resilience.journal import (
     Journal, _collate, _replay_event, recover,
@@ -165,12 +164,6 @@ class Worker:
             tracer=self.tracer,
             session_kwargs=session_kwargs,
             quarantine_after=config.get("quarantine_after", 3),
-            # One store per worker: every session on it warms the
-            # others (cluster.memo.shared_hits).
-            memo_store=MemoStore(
-                max_entries=config.get("memo_entries", 4096),
-                tracer=self.tracer,
-            ),
             repair=repair,
         )
         self.recovery = None

@@ -22,10 +22,12 @@ by ``(code digest, argument, read-set values)`` — the digest hashes the
 function body closed over its transitive ``FunRef``\\ s
 (:mod:`repro.incremental.digest`), the read-set values are what the call
 would read *now*, in sorted read-name order.  That triple is the whole
-input of the call, so a key match is a complete validation: a probe
-replays the entry iff some variant stored under the call's ``(digest,
-argument)`` was produced from the same read values.  Sessions whose
-state differs keep one variant each instead of overwriting one entry.
+input the call's program code sees, so a key match is a complete
+validation: a probe replays the entry iff some variant stored under the
+call's ``(digest, argument)`` was produced from the same read values
+(and, for a call that may reach a native, under the same
+implementations).  Sessions whose state differs keep one variant each
+instead of overwriting one entry.
 The UPDATE transition swaps in a fresh :class:`RenderMemo` per code
 version, but all versions share one
 :class:`~repro.incremental.store.MemoStore`, so the first render after an
@@ -63,6 +65,7 @@ from ..core.prims import PRIM_SIGS
 from ..incremental.digest import code_digests
 from ..incremental.store import CallKey, MemoEntry, MemoStore, ReadValues
 from ..obs.trace import NULL_TRACER
+from .natives import EMPTY_NATIVES
 
 
 def global_read_sets(code):
@@ -223,10 +226,11 @@ class RenderMemo:
     """
 
     def __init__(self, code, store=None, max_entries=4096,
-                 tracer=NULL_TRACER):
+                 tracer=NULL_TRACER, natives=EMPTY_NATIVES):
         if not isinstance(code, Code):
             raise ReproError("RenderMemo expects Code")
         self.code = code
+        self.natives = natives
         facts = memo_facts(code)
         self._read_orders = facts.read_orders
         self._native_sets = facts.native_sets
@@ -239,6 +243,9 @@ class RenderMemo:
         self.tracer = tracer
         # read-name tuple → (store versions, ReadValues built from them)
         self._keys = {}
+        # function name → its natives paired with this session's
+        # implementations (what an entry it produces records)
+        self._bindings = {}
         self.hits = 0
         self.misses = 0
         self.misses_cold = 0
@@ -284,15 +291,18 @@ class RenderMemo:
         ``None`` — counting a hit exactly when one is found.
 
         The lookup key is the call ``(digest, argument)`` plus the
-        values of the read set as ``store`` holds them now; a match
-        needs no further validation.
+        values of the read set as ``store`` holds them now.  Digests
+        cannot see host Python, so an entry whose producer may have
+        called a native is taken only if this session binds each of
+        those natives to the very object the producer had bound — on a
+        shared store, another session may have bound different ones.
         """
         memo_store = self.memo_store
         entry = memo_store.get(
             CallKey(self._digests.get(name), arg_value),
             self._read_key(name, store),
         )
-        if entry is None:
+        if entry is None or (entry.natives and not self._binds(entry)):
             return None
         self.hits += 1
         self.replayed_boxes += entry.boxes
@@ -304,6 +314,25 @@ class RenderMemo:
         if note is not None:
             note(entry)
         return entry
+
+    def _binds(self, entry):
+        """Does this session bind ``entry``'s natives to the producer's
+        implementations, object for object?"""
+        implementation = self.natives.implementation
+        return all(implementation(native) is impl
+                   for native, impl in entry.natives)
+
+    def _binding(self, name):
+        """``name``'s transitive natives, each paired with this
+        session's implementation, in name order."""
+        binding = self._bindings.get(name)
+        if binding is None:
+            implementation = self.natives.implementation
+            binding = self._bindings[name] = tuple(
+                (native, implementation(native))
+                for native in sorted(self._native_sets.get(name, ()))
+            )
+        return binding
 
     def store_result(self, name, arg_value, store, items, value):
         """Record one executed call; counts the miss that caused it and
@@ -322,10 +351,7 @@ class RenderMemo:
         had_variants = self.memo_store.put(
             CallKey(self._digests.get(name), arg_value),
             self._read_key(name, store),
-            MemoEntry(
-                items, value, boxes,
-                natives=self._native_sets.get(name, frozenset()),
-            ),
+            MemoEntry(items, value, boxes, natives=self._binding(name)),
         )
         self.misses += 1
         self.tracer.add("memo_misses")

@@ -27,16 +27,18 @@ either bound evicts a least recently used variant (of the call itself,
 or of the least recently used call) and counts
 ``incremental.memo_evictions``.
 
-**Sharing across sessions** (repro.cluster).  The store can also be
-promoted from per-:class:`~repro.system.transitions.System` to
-per-*program*: a :class:`~repro.serve.host.SessionHost` constructed with
-``memo_store=`` hands every session a :class:`SessionMemoView` over the
-one shared store, so N sessions running the same app warm each other.
-Cross-session reuse is sound because the key holds everything the
-output depends on: the digest pins the code, the read values are the
-probing session's own.  That promotion makes the store a concurrency
-point: every operation is serialized behind an internal lock, cheap
-when uncontended.
+**Sharing across sessions** (repro.serve).  A standalone session owns
+its store, but every :class:`~repro.serve.host.SessionHost` — a lone
+``repro serve`` process or one cluster worker — owns one store and hands
+each session a :class:`SessionMemoView` over it, so N sessions running
+the same app warm each other.  Cross-session reuse is sound because the
+key holds everything the output depends on: the digest pins the code,
+the read values are the probing session's own, and a hit on an entry
+whose producer may have called a native is taken only if the probing
+session has bound the very same implementations
+(:meth:`~repro.eval.memo.RenderMemo.probe`).  Sharing makes the store a
+concurrency point: every operation is serialized behind an internal
+lock, cheap when uncontended.
 """
 
 from __future__ import annotations
@@ -122,18 +124,19 @@ class MemoEntry:
     ``origin`` names the session (token) that executed the call;
     ``None`` for private per-System stores.  A hit on an entry with a
     *different* origin is a cross-session warm hit
-    (``cluster.memo.shared_hits``).
+    (``cluster.memo.shared_hits``).  ``natives`` pairs each native the
+    producing function may call (transitively) with the implementation
+    the producer had bound, in name order.
     """
 
     __slots__ = ("items", "value", "boxes", "origin", "natives")
 
-    def __init__(self, items, value, boxes, origin=None,
-                 natives=frozenset()):
+    def __init__(self, items, value, boxes, origin=None, natives=()):
         self.items = items          # the cached box items (frozen trees)
         self.value = value          # the call's return value
         self.boxes = boxes          # boxes in ``items``, for replay stats
         self.origin = origin        # producing session, for shared stores
-        self.natives = natives      # native ops the producer may call
+        self.natives = natives      # ((native, implementation), ...)
 
 
 class MemoStore:
@@ -237,7 +240,11 @@ class MemoStore:
         with self._lock:
             stale = [
                 call for call, variants in self._calls.items()
-                if any(entry.natives & names for entry in variants.values())
+                if any(
+                    name in names
+                    for entry in variants.values()
+                    for name, _ in entry.natives
+                )
             ]
             dropped = sum(len(self._calls.pop(call)) for call in stale)
             self._size -= dropped
@@ -276,17 +283,17 @@ class SessionMemoView:
     """One session's facade over a shared :class:`MemoStore`.
 
     The view is what a :class:`~repro.system.transitions.System` owns
-    when its host promotes memoization to per-program: reads and writes
-    go straight to the shared store, but every entry this session
-    executes is tagged with the session's ``origin``, and a hit on a
-    *foreign* entry is reported through ``count`` (the host's
+    when it runs on a :class:`~repro.serve.host.SessionHost`: reads and
+    writes go straight to the shared store, but every entry this
+    session executes is tagged with the session's ``origin``, and a hit
+    on a *foreign* entry is reported through ``count`` (the host's
     serialized metric counter) as ``cluster.memo.shared_hits`` — the
     measurable fact that one user's render warmed another's.
 
-    ``clear()`` and ``invalidate_natives()`` act on the *shared* store:
-    their only caller is the native-rebind guard in UPDATE, whose
-    reasoning ("digests cannot see host Python") invalidates the
-    affected entries for every session equally.
+    ``invalidate_natives()`` acts on the *shared* store: its only caller
+    is the native-rebind guard in UPDATE, whose reasoning ("digests
+    cannot see host Python") invalidates the affected entries for every
+    session equally.
     """
 
     __slots__ = ("store", "origin", "_count")
@@ -309,12 +316,6 @@ class SessionMemoView:
         if entry.origin is not None and entry.origin != self.origin:
             if self._count is not None:
                 self._count("cluster.memo.shared_hits")
-
-    def discard(self, call):
-        self.store.discard(call)
-
-    def clear(self):
-        self.store.clear()
 
     def invalidate_natives(self, names):
         return self.store.invalidate_natives(names)

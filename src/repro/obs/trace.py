@@ -82,7 +82,8 @@ CATALOG = (
     "surface.decls_compiled",
     # repro.cluster — sharded workers (docs/SERVER.md).  Routing/
     # liveness counters live on the front and supervisor tracers; the
-    # shared-memo counter on each worker's.
+    # shared-memo counter on every host's (a single host or a worker),
+    # named for the cluster where it first counted.
     "cluster.requests_routed",
     "cluster.worker_respawns",
     "cluster.worker_respawn_backoffs",

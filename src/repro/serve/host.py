@@ -26,6 +26,14 @@ hash survives eviction, so a rehydrated session keeps its generation.
 ``render`` requests carrying the client's last generation get a
 304-style "not modified" answer without re-rendering.
 
+**Memo sharing.**  The host owns one
+:class:`~repro.incremental.store.MemoStore` and gives every session a
+view over it, on a lone ``repro serve`` host and on each cluster worker
+alike.  A memo key is the whole input of a render call, so one
+session's renders replay in every other session whose code and read
+values match — who produced an entry does not matter.  Hits on another
+session's entries count ``cluster.memo.shared_hits``.
+
 **Resilience.**  Every state-changing op runs through a per-session
 **circuit breaker**: ``quarantine_after`` consecutive faulting
 operations open it, after which interactions are refused with the typed
@@ -56,6 +64,7 @@ from contextlib import contextmanager
 from types import MappingProxyType
 
 from ..core.errors import EvalError, ReproError, SessionQuarantined
+from ..incremental.store import MemoStore, SessionMemoView
 from ..live.session import LiveSession
 from ..obs.sinks import InMemorySink
 from ..obs.trace import NULL_TRACER, Tracer
@@ -158,7 +167,9 @@ class SessionHost:
     session construction *and* once per rehydration, so every session
     gets a fresh virtual clock and substrate set (virtual time and
     request counts are not part of the persistent image — only code and
-    state are, exactly as in :mod:`repro.persist`).
+    state are, exactly as in :mod:`repro.persist`).  A render call that
+    may reach a native replays in another session only if both got the
+    same implementation objects from ``make_host_impls``.
 
     ``session_kwargs`` (e.g. :data:`SERVE_POSTURE`, or
     ``backend="tree"``) are passed to every session; sessions always
@@ -177,7 +188,6 @@ class SessionHost:
         session_kwargs=None,
         quarantine_after=3,
         journal=None,
-        memo_store=None,
         repair=None,
     ):
         if pool_size < 1:
@@ -203,14 +213,10 @@ class SessionHost:
         #: image checkpoints; see :func:`repro.resilience.recover`.
         self.journal = journal
         self._adopt_journal_tracer()
-        #: Per-program shared memo cache (repro.incremental /
-        #: repro.cluster).  When given, every session — created,
-        #: restored or rehydrated — runs against a
-        #: :class:`~repro.incremental.store.SessionMemoView` over this
-        #: one store instead of a private per-System cache, so sessions
-        #: running the same app warm each other; validated hits on
-        #: foreign entries count ``cluster.memo.shared_hits``.
-        self.memo_store = memo_store
+        #: The memo store every session — created, restored or
+        #: rehydrated — reads and writes through its own view (see
+        #: *Memo sharing* above).
+        self.memo_store = MemoStore(tracer=self.tracer)
         #: Live repair (repro.repair).  ``repair=True`` (or a
         #: :class:`~repro.repair.RepairBudget`) arms *automatic* repair
         #: search: a rolled-back ``edit_source`` or a breaker opening
@@ -277,14 +283,12 @@ class SessionHost:
 
     def _session_kwargs_for(self, token):
         """Per-session construction kwargs; wires the shared memo view."""
-        kwargs = dict(self.session_kwargs)
-        if self.memo_store is not None:
-            from ..incremental.store import SessionMemoView
-
-            kwargs["memo_store"] = SessionMemoView(
+        return dict(
+            self.session_kwargs,
+            memo_store=SessionMemoView(
                 self.memo_store, origin=token, count=self._count
-            )
-        return kwargs
+            ),
+        )
 
     def _make_session(self, source, token):
         return LiveSession(
@@ -1071,8 +1075,7 @@ class SessionHost:
         """Pool + metric snapshot for the ``stats`` protocol op."""
         stats = self.healthz()
         del stats["journaling"]
-        if self.memo_store is not None:
-            stats["shared_memo"] = self.memo_store.stats()
+        stats["shared_memo"] = self.memo_store.stats()
         counters, gauges, _ = self.observability_snapshot()
         metrics = dict(gauges)
         metrics.update(counters)

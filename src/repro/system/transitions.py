@@ -149,10 +149,11 @@ class System:
         #: RenderMemo *view*), but entries live in one update-surviving
         #: MemoStore (repro.incremental).  By default the store is
         #: private and owned here for the life of the system;
-        #: ``memo_store`` injects a shared one instead — typically a
-        #: :class:`~repro.incremental.store.SessionMemoView` over a
-        #: per-program store (repro.cluster), so sessions running the
-        #: same app warm each other.  A faithful system has no store.
+        #: ``memo_store`` injects a shared one instead — a
+        #: :class:`~repro.incremental.store.SessionMemoView` over the
+        #: store of the :class:`~repro.serve.host.SessionHost` serving
+        #: this session, so sessions running the same app warm each
+        #: other.  A faithful system has no store.
         self.render_memo = None
         self._memo_store = None
         if not faithful:
@@ -219,7 +220,10 @@ class System:
         else:
             from ..eval.memo import RenderMemo
 
-            memo = RenderMemo(code, store=self._memo_store, tracer=self.tracer)
+            memo = RenderMemo(
+                code, store=self._memo_store, tracer=self.tracer,
+                natives=self.natives,
+            )
             self.render_memo = memo
             evaluator = self.backend.compile(
                 code, natives=self.natives, services=self.services,

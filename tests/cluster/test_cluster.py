@@ -94,6 +94,9 @@ class TestRouting:
         assert stats["sessions"] >= 1
         assert len(stats["workers"]) == 2
         assert stats["metrics"]["cluster.requests_routed"] > 0
+        # Every worker is a host, and every host reports its store.
+        for worker in stats["workers"].values():
+            assert worker["shared_memo"]["max_entries"] == 4096
 
     def test_healthz_reports_both_workers(self, cluster):
         supervisor, _router = cluster

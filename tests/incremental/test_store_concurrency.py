@@ -1,6 +1,6 @@
-"""The shared memo store under concurrent mutation (repro.cluster).
+"""The shared memo store under concurrent mutation (repro.serve).
 
-Promoting :class:`MemoStore` from per-System to per-program makes it a
+Sharing one :class:`MemoStore` among a host's sessions makes it a
 concurrency point: many host threads hit one LRU.  These tests hammer
 the store from threads and then check the soundness story end to end —
 cross-session hits fire, a session never replays a variant produced
@@ -139,7 +139,6 @@ class TestSharedAcrossSessions:
             pool_size=8,
             default_source=function_gallery_source(rows=4, cols=3),
             tracer=Tracer(),
-            memo_store=MemoStore(),
         )
 
     def test_second_session_rides_the_firsts_renders(self):
