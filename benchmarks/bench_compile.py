@@ -30,18 +30,23 @@ Runs three ways::
     PYTHONPATH=src python benchmarks/bench_compile.py --quick     # CI
     PYTHONPATH=src python benchmarks/bench_compile.py --check     # CI gate
 
-One more case is history only, never gated: ``one_decl_edit`` times
-compiling the mortgage app after a one-declaration edit (the paper's
-I2, toggled on and off) through ``compile_source`` — which reuses every
-declaration compiled before (:mod:`repro.surface.decls`) — against
-``compile_fresh``, the whole pipeline.  ``--quick`` and full runs
-record it; ``--check`` does not run it.
+Two more cases time compiling the mortgage app through
+``compile_source`` — which reuses every declaration compiled before
+(:mod:`repro.surface.decls`) — against ``compile_fresh``, the whole
+pipeline.  ``one_decl_edit`` is a one-declaration edit (the paper's I2,
+toggled on and off), history only.  ``broken_edit`` is a
+one-declaration *broken* edit (the detail page's parameter list left
+unclosed) with every other declaration cached: its diagnostic is
+decided from the one declaration parsed now, where a whole-program
+compile parses all of them again.
 
 ``--check`` is the gate: the ``listings`` tree/compiled p50 speedup
 must stay at or above :data:`SPEEDUP_FLOOR` (2.0 — the ISSUE's
-acceptance criterion), and no workload's speedup may regress more than
-20% against its most recent committed ``baseline`` record.  Comparing
-*ratios* keeps the gate machine-independent.
+acceptance criterion), no workload's speedup may regress more than
+20% against its most recent committed ``baseline`` record, and the
+``broken_edit`` fresh/incremental p50 ratio must stay at or above
+:data:`BROKEN_EDIT_FLOOR`.  Comparing *ratios* keeps the gate
+machine-independent.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from repro.apps.mortgage import (
     compile_mortgage,
     host_impls,
 )
+from repro.core.errors import ReproError
 from repro.incremental.store import MemoStore
 from repro.stdlib.web import make_services
 from repro.surface import compile as surface_compile
@@ -81,6 +87,17 @@ SPEEDUP_FLOOR = 2.0
 #: --check also fails when a workload's speedup regresses past this
 #: factor of its committed baseline.
 REGRESSION_TOLERANCE = 1.20
+
+#: --check fails when ``compile_fresh`` is less than this many times
+#: slower (p50) than ``compile_source`` on the one-declaration broken
+#: edit: a broken edit must cost about what the declaration it broke
+#: costs, not the whole program.
+BROKEN_EDIT_FLOOR = 1.5
+
+#: The ``broken_edit`` case's edit: the detail page's parameter list
+#: left unclosed, so the parser rejects that one declaration.
+BROKEN_SOURCE = BASE_SOURCE.replace("page detail(l : listing)",
+                                    "page detail(l : listing")
 
 GALLERY_ROWS, GALLERY_COLS = 30, 6
 
@@ -168,27 +185,33 @@ def run_workload(name, rounds=40):
     }
 
 
-def run_one_decl_edit(rounds=40):
-    """Incremental vs whole-pipeline compile of a one-declaration edit.
+def _compile_pair(workload, warm, sources, rounds):
+    """p50/p95 seconds of ``compile_source`` and ``compile_fresh`` over
+    ``sources`` in turn, and the fresh/incremental p50 ratio.
 
-    Rounds alternate the base app and its I2 edit, the two paths taking
-    turns.  The intern table is emptied before each incremental compile
-    so it compiles (reusing the unchanged declarations) instead of
-    returning a program interned earlier.
+    ``warm`` is compiled first, so the declaration cache holds its
+    declarations.  The two paths take turns each round.  The intern
+    table is emptied before each incremental compile, so it compiles
+    (reusing the declarations it holds) instead of returning a program
+    interned earlier.  A source that does not compile is timed until
+    its error is raised.
     """
     impls = host_impls()
-    variants = (BASE_SOURCE, apply_i2(BASE_SOURCE))
+    for source in warm:
+        compile_source(source, impls)
     timings = {"incremental": [], "fresh": []}
-    for step in range(rounds + 2):
-        source = variants[step % 2]
+    for step in range(rounds):
+        source = sources[step % len(sources)]
         surface_compile._INTERNED.clear()
         for path, compile_ in (("incremental", compile_source),
                                ("fresh", compile_fresh)):
             started = time.perf_counter()
-            compile_(source, impls)
-            if step >= 2:  # both variants' declarations are cached
-                timings[path].append(time.perf_counter() - started)
-    result = {"workload": "one_decl_edit", "rounds": rounds}
+            try:
+                compile_(source, impls)
+            except ReproError:
+                pass
+            timings[path].append(time.perf_counter() - started)
+    result = {"workload": workload, "rounds": rounds}
     for path, values in timings.items():
         values.sort()
         result[path + "_p50_seconds"] = percentile(values, 0.50)
@@ -197,6 +220,20 @@ def run_one_decl_edit(rounds=40):
         result["fresh_p50_seconds"] / result["incremental_p50_seconds"]
     )
     return result
+
+
+def run_one_decl_edit(rounds=40):
+    """Incremental vs whole-pipeline compile of a one-declaration edit:
+    rounds alternate the base app and its I2 edit."""
+    variants = (BASE_SOURCE, apply_i2(BASE_SOURCE))
+    return _compile_pair("one_decl_edit", variants, variants, rounds)
+
+
+def run_broken_edit(rounds=40):
+    """Incremental vs whole-pipeline compile of :data:`BROKEN_SOURCE`,
+    every declaration of the base app cached."""
+    return _compile_pair("broken_edit", (BASE_SOURCE,), (BROKEN_SOURCE,),
+                         rounds)
 
 
 def record(result, label):
@@ -211,28 +248,38 @@ def load_baselines(path=BENCH_PATH):
     return latest_baselines(path, "compile_edit_render")
 
 
+#: Workload → what its ratio is, and the floor ``--check`` holds it to.
+FLOORS = {
+    "listings": ("compiled speedup", SPEEDUP_FLOOR),
+    "broken_edit": ("compile_fresh/compile_source", BROKEN_EDIT_FLOOR),
+}
+
+
 def check_results(results, baselines):
-    """(ok, messages): the speedup floor plus the ratio-vs-baseline
+    """(ok, messages): the ratio floors plus the ratio-vs-baseline
     regression gate."""
     ok = True
     messages = []
     for result in results:
+        workload = result["workload"]
         speedup = result["speedup_p50"]
-        if result["workload"] == "listings":
-            verdict = "ok" if speedup >= SPEEDUP_FLOOR else "BELOW FLOOR"
-            if speedup < SPEEDUP_FLOOR:
+        floor = FLOORS.get(workload)
+        if floor is not None:
+            what, required = floor
+            verdict = "ok" if speedup >= required else "BELOW FLOOR"
+            if speedup < required:
                 ok = False
             messages.append(
-                "listings: compiled speedup {:.2f}x vs required "
-                "{:.1f}x — {}".format(speedup, SPEEDUP_FLOOR, verdict)
-            )
-        baseline = baselines.get(result["workload"])
-        if baseline is None:
-            messages.append(
-                "{}: no committed baseline — skipping".format(
-                    result["workload"]
+                "{}: {} {:.2f}x vs required {:.1f}x — {}".format(
+                    workload, what, speedup, required, verdict
                 )
             )
+        baseline = baselines.get(workload)
+        if baseline is None:
+            if floor is None:
+                messages.append(
+                    "{}: no committed baseline — skipping".format(workload)
+                )
             continue
         committed = baseline["speedup_p50"]
         limit = committed / REGRESSION_TOLERANCE
@@ -242,7 +289,7 @@ def check_results(results, baselines):
         messages.append(
             "{}: speedup {:.2f}x vs baseline {:.2f}x "
             "(limit {:.2f}x) — {}".format(
-                result["workload"], speedup, committed, limit, verdict
+                workload, speedup, committed, limit, verdict
             )
         )
     return ok, messages
@@ -270,12 +317,31 @@ def test_one_decl_edit_is_recorded():
                         **result)
 
 
+def test_a_broken_edit_compiles_faster_than_the_whole_program():
+    result = run_broken_edit(rounds=12)
+    assert result["speedup_p50"] > 1.0, result
+    append_bench_record(BENCH_PATH, "compile_broken_edit", "suite",
+                        **result)
+
+
+def _print_compile_pair(result):
+    print(
+        "{workload}: compile_fresh p50 {fresh:.2f}ms → incremental p50 "
+        "{incremental:.2f}ms (speedup {speedup:.2f}x)".format(
+            workload=result["workload"],
+            fresh=result["fresh_p50_seconds"] * 1e3,
+            incremental=result["incremental_p50_seconds"] * 1e3,
+            speedup=result["speedup_p50"],
+        )
+    )
+
+
 def main(argv=None):
     args = gate_arguments(
         argv, __doc__,
         quick="small CI-sized run (fewer rounds)",
-        check="enforce the 2x listings floor and compare against the "
-              "committed baselines; exit 1 on failure",
+        check="enforce the 2x listings and 1.5x broken_edit floors and "
+              "compare against the committed baselines; exit 1 on failure",
     )
     rounds = 12 if (args.quick or args.check) else 40
 
@@ -293,9 +359,12 @@ def main(argv=None):
                 speedup=result["speedup_p50"],
             )
         )
+    # Compiles are short: more rounds keep the ratio's p50 steady.
+    broken = run_broken_edit(rounds=5 * rounds)
+    _print_compile_pair(broken)
 
     if args.check:
-        ok, messages = check_results(results, load_baselines())
+        ok, messages = check_results(results + [broken], load_baselines())
         for message in messages:
             print("check:", message)
         return 0 if ok else 1
@@ -304,15 +373,9 @@ def main(argv=None):
     for result in results:
         record(result, label)
     edit = run_one_decl_edit(rounds=rounds)
-    print(
-        "one_decl_edit: compile_fresh p50 {fresh:.2f}ms → incremental p50 "
-        "{incremental:.2f}ms (speedup {speedup:.2f}x)".format(
-            fresh=edit["fresh_p50_seconds"] * 1e3,
-            incremental=edit["incremental_p50_seconds"] * 1e3,
-            speedup=edit["speedup_p50"],
-        )
-    )
+    _print_compile_pair(edit)
     append_bench_record(BENCH_PATH, "compile_one_decl_edit", label, **edit)
+    append_bench_record(BENCH_PATH, "compile_broken_edit", label, **broken)
     return 0
 
 

@@ -110,15 +110,22 @@ class Box(BoxItem):
     def freeze(self):
         """Recursively mark the tree immutable (done when render finishes).
 
-        Stops at subtrees that are already frozen, so splicing a frozen
-        memo entry into a page costs nothing here.
+        Records each box's :meth:`shape` as it returns, so reading it
+        after a render costs no second recursion.  Stops at subtrees that
+        are already frozen, so splicing a frozen memo entry into a page
+        costs nothing here.
         """
         if self._frozen:
             return self
         self._frozen = True
+        count, below = 1, 0
         for item in self.items:
-            if isinstance(item, Box) and not item._frozen:
-                item.freeze()
+            if isinstance(item, Box):
+                kid_count, kid_height = item.freeze().shape()
+                count += kid_count
+                if kid_height > below:
+                    below = kid_height
+        self._shape = (count, below + 1)
         return self
 
     # -- queries -------------------------------------------------------------

@@ -95,6 +95,7 @@ from .calls import (
 
 _UNIT = ast.UNIT_VALUE
 _Num = ast.Num
+_float_num = ast.float_num
 
 
 class _Run:
@@ -787,12 +788,7 @@ class CompiledUnit(RecursionCompiler):
                 return run_fast
 
             if effect is PURE:
-                def run_builtin(rt, env):
-                    return _apply_builtin(
-                        op, tuple(fn(rt, env) for fn in arg_fns)
-                    )
-
-                return run_builtin
+                return _pure_builtin(op, arg_fns)
 
             def run_builtin_effect(rt, env):
                 args = tuple(fn(rt, env) for fn in arg_fns)
@@ -821,6 +817,34 @@ class CompiledUnit(RecursionCompiler):
 
     def _signature(self, op):
         return PRIM_SIGS.get(op) or self.natives.signature(op)
+
+
+def _pure_builtin(op, arg_fns):
+    """The closure of a pure builtin application: one per arity up to
+    three, so a call builds its argument tuple without a generator."""
+    if len(arg_fns) == 1:
+        (only_fn,) = arg_fns
+
+        def run_builtin(rt, env):
+            return _apply_builtin(op, (only_fn(rt, env),))
+    elif len(arg_fns) == 2:
+        first_fn, second_fn = arg_fns
+
+        def run_builtin(rt, env):
+            return _apply_builtin(op, (first_fn(rt, env),
+                                       second_fn(rt, env)))
+    elif len(arg_fns) == 3:
+        first_fn, second_fn, third_fn = arg_fns
+
+        def run_builtin(rt, env):
+            return _apply_builtin(op, (first_fn(rt, env), second_fn(rt, env),
+                                       third_fn(rt, env)))
+    else:
+        def run_builtin(rt, env):
+            return _apply_builtin(op, tuple([fn(rt, env) for fn in arg_fns]))
+    return run_builtin
+
+
 class Compiled:
     """The compiled machine for one session: same evaluator protocol,
     closures not trees.
@@ -904,17 +928,17 @@ def _make_fast_builtins():
 
     def fast_add(a, b):
         if type(a) is _Num and type(b) is _Num:
-            return _Num(a.value + b.value)
+            return _float_num(a.value + b.value)
         return _apply_builtin("add", (a, b))
 
     def fast_sub(a, b):
         if type(a) is _Num and type(b) is _Num:
-            return _Num(a.value - b.value)
+            return _float_num(a.value - b.value)
         return _apply_builtin("sub", (a, b))
 
     def fast_mul(a, b):
         if type(a) is _Num and type(b) is _Num:
-            return _Num(a.value * b.value)
+            return _float_num(a.value * b.value)
         return _apply_builtin("mul", (a, b))
 
     def fast_lt(a, b):

@@ -79,6 +79,19 @@ class Num(Expr):
         return True
 
 
+_new_num = object.__new__
+_set_num_value = Num.__dict__["value"].__set__
+
+
+def float_num(value):
+    """``Num(value)`` for a ``value`` that is already a ``float`` — an
+    arithmetic result — without the validation and conversion a literal
+    goes through."""
+    node = _new_num(Num)
+    _set_num_value(node, value)
+    return node
+
+
 @dataclass(frozen=True)
 class Str(Expr):
     """String literal ``s``."""

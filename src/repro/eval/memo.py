@@ -25,9 +25,10 @@ would read *now*, in sorted read-name order.  That triple is the whole
 input the call's program code sees, so a key match is a complete
 validation: a probe replays the entry iff some variant stored under the
 call's ``(digest, argument)`` was produced from the same read values
-(and, for a call that may reach a native, under the same
-implementations).  Sessions whose state differs keep one variant each
-instead of overwriting one entry.
+and, for a call that may reach a native, under the same
+implementations — those are part of the variant key.  Sessions whose
+state or native bindings differ keep one variant each instead of
+overwriting one entry.
 The UPDATE transition swaps in a fresh :class:`RenderMemo` per code
 version, but all versions share one
 :class:`~repro.incremental.store.MemoStore`, so the first render after an
@@ -241,7 +242,8 @@ class RenderMemo:
             else MemoStore(max_entries, tracer=tracer)
         )
         self.tracer = tracer
-        # read-name tuple → (store versions, ReadValues built from them)
+        # read-name tuple, with the natives' binding if any → (store
+        # versions, variant key built from them)
         self._keys = {}
         # function name → its natives paired with this session's
         # implementations (what an entry it produces records)
@@ -266,24 +268,29 @@ class RenderMemo:
         return value
 
     def _read_key(self, name, store):
-        """The :class:`~repro.incremental.store.ReadValues` of ``name``'s
-        read set under ``store``.
+        """The variant key of a call of ``name`` under ``store``: the
+        :class:`~repro.incremental.store.ReadValues` of its read set,
+        followed by the implementations this session binds its natives
+        to (sessions binding a native differently keep one variant
+        each).
 
         Reused while the read set's write versions are unchanged: within
         one code version a version tuple names one tuple of values
         (version ``0``, never assigned, reads the declared init, which
-        this view's code fixes).
+        this view's code fixes), and a view's bindings never change.
         """
         names = self._read_orders.get(name, ())
+        binding = self._binding(name)
+        slot = (names, binding) if binding else names
         version = store.version
         versions = tuple([version(global_name) for global_name in names])
-        cached = self._keys.get(names)
+        cached = self._keys.get(slot)
         if cached is not None and cached[0] == versions:
             return cached[1]
         key = ReadValues(tuple([
             self._read_value(global_name, store) for global_name in names
-        ]))
-        self._keys[names] = (versions, key)
+        ]) + binding)
+        self._keys[slot] = (versions, key)
         return key
 
     def probe(self, name, arg_value, store):

@@ -28,6 +28,8 @@ from ..core.prims import PRIM_SIGS, PrimSig, match_signature
 from ..core.effects import Effect, PURE
 from .values import bool_value, from_python, to_python
 
+_float_num = ast.float_num
+
 
 class NativeTable:
     """Registry of host-implemented operators, keyed by name.
@@ -204,19 +206,19 @@ def _value_type_for_native(value, op):
 def _apply_builtin(op, args):
     a = args  # brevity below
     if op == "add":
-        return ast.Num(_num(a[0], op) + _num(a[1], op))
+        return _float_num(_num(a[0], op) + _num(a[1], op))
     if op == "sub":
-        return ast.Num(_num(a[0], op) - _num(a[1], op))
+        return _float_num(_num(a[0], op) - _num(a[1], op))
     if op == "mul":
-        return ast.Num(_num(a[0], op) * _num(a[1], op))
+        return _float_num(_num(a[0], op) * _num(a[1], op))
     if op == "div":
-        return ast.Num(_impl_div(_num(a[0], op), _num(a[1], op)))
+        return _float_num(_impl_div(_num(a[0], op), _num(a[1], op)))
     if op == "mod":
-        return ast.Num(_impl_mod(_num(a[0], op), _num(a[1], op)))
+        return _float_num(_impl_mod(_num(a[0], op), _num(a[1], op)))
     if op == "pow":
         return ast.Num(float(_num(a[0], op) ** _num(a[1], op)))
     if op == "neg":
-        return ast.Num(-_num(a[0], op))
+        return _float_num(-_num(a[0], op))
     if op == "floor":
         return ast.Num(float(math.floor(_num(a[0], op))))
     if op == "ceil":
@@ -227,13 +229,13 @@ def _apply_builtin(op, args):
         return ast.Num(float(math.floor(value + 0.5) if value >= 0
                              else math.ceil(value - 0.5)))
     if op == "abs":
-        return ast.Num(abs(_num(a[0], op)))
+        return _float_num(abs(_num(a[0], op)))
     if op == "sqrt":
         return ast.Num(_impl_sqrt(_num(a[0], op)))
     if op == "min":
-        return ast.Num(min(_num(a[0], op), _num(a[1], op)))
+        return _float_num(min(_num(a[0], op), _num(a[1], op)))
     if op == "max":
-        return ast.Num(max(_num(a[0], op), _num(a[1], op)))
+        return _float_num(max(_num(a[0], op), _num(a[1], op)))
     if op == "lt":
         return bool_value(_num(a[0], op) < _num(a[1], op))
     if op == "le":

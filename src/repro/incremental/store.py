@@ -88,8 +88,9 @@ class CallKey:
 
 
 class ReadValues:
-    """The values of one call's read set, in sorted read-name order —
-    the variant key under a call.
+    """The values of one call's read set, in sorted read-name order,
+    then the ``(native, implementation)`` pairs of the natives it may
+    call — the variant key under a call.
 
     The hash is computed once, at construction: a
     :class:`~repro.eval.memo.RenderMemo` view reuses one key object for

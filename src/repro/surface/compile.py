@@ -33,10 +33,13 @@ annotated AST, core definitions (the same objects) and sourcemap entries
 core check, the compiled unit and the memo facts of the new ``Code``
 then reuse the per-definition work of every reused definition
 (:func:`repro.core.defs.def_derived`): one changed declaration costs one
-declaration's verdict, closures and digests.  :func:`compile_fresh`
+declaration's verdict, closures and digests.  A broken edit costs no
+more: its syntax or type error is decided from the declarations parsed
+now, and is the one the whole program raises.  :func:`compile_fresh`
 stays the uncached whole-program pipeline — the reference, and the path
-every source with an error takes, so diagnostics never depend on what
-was compiled before.
+a source takes when its error is not decided per declaration
+(``surface.fresh_fallbacks`` counts those), so diagnostics never depend
+on what was compiled before.
 """
 
 from __future__ import annotations
@@ -118,7 +121,9 @@ def compile_source(source, host_impls=None, tracer=NULL_TRACER):
     ``parse`` / ``typecheck`` / ``lower`` — so a live edit cycle can be
     broken down end to end, and counts the declarations the compile
     reused and compiled (``surface.decls_reused`` /
-    ``surface.decls_compiled``, also set on the enclosing span).
+    ``surface.decls_compiled``, also set on the enclosing span) and the
+    sources that fell back to :func:`compile_fresh`
+    (``surface.fresh_fallbacks``).
     """
     impls = tuple(sorted((host_impls or {}).items()))
     # Identities key the table; the entry holds the implementations, so
@@ -136,11 +141,12 @@ def compile_source(source, host_impls=None, tracer=NULL_TRACER):
 
 def _compile_incremental(source, host_impls, tracer):
     """The pipeline, reusing every declaration compiled before in the
-    same context (:mod:`repro.surface.decls`); any error, and any source
-    that does not split into declarations, goes to :func:`compile_fresh`
-    so the diagnostics are the whole-program ones."""
+    same context (:mod:`repro.surface.decls`); a source whose error the
+    declarations do not decide alone, or that does not split into
+    declarations, goes to :func:`compile_fresh`."""
     front = decls.front_end(source, tracer)
     if front is None:
+        tracer.add("surface.fresh_fallbacks")
         return compile_fresh(source, host_impls, tracer)
     with tracer.span("lower"):
         code = Code(front.definitions)

@@ -27,9 +27,12 @@ copy with every span shifted) only when a tool reads the program's AST
 — rather than parsed again.  Cached surface ASTs are never mutated: a
 declaration whose context changed is parsed again.
 
-Every error falls back: a source that does not split cleanly, or any
-syntax or type error, returns ``None`` and the caller runs the whole
-pipeline, so diagnostics are exactly the whole-program ones.
+A broken edit costs only the declarations it did not hold either: its
+syntax or type error is decided from the declarations parsed now (see
+:func:`_samples` and :func:`_check`), and is the whole program's, bit
+for bit.  Where a declaration alone cannot see what the whole program
+sees, and for a source that does not split cleanly, :func:`front_end`
+returns ``None`` and the caller runs the whole pipeline.
 """
 
 from __future__ import annotations
@@ -38,10 +41,11 @@ import re
 from dataclasses import dataclass
 
 from ..core.defs import context_token
-from ..core.errors import ReproError
+from ..core.errors import ReproError, TypeProblem
 from ..core.lru import LruTable
 from . import surface_ast as S
 from .lower import extern_signature, lower_decl
+from .lexer import tokenize
 from .parser import parse_decl
 from .resolve import resolve
 from .sourcemap import BoxedEntry, decl_entries
@@ -96,24 +100,38 @@ _EFFECTS = LruTable(DECL_BOUND)
 
 
 def front_end(source, tracer):
-    """The front-end result of ``source``, per declaration; ``None`` when
-    the source does not split cleanly or has an error anywhere."""
+    """The front-end result of ``source``, per declaration.
+
+    Raises the whole program's first syntax or type error when the
+    declarations parsed now decide it, and returns ``None`` when the
+    source does not split cleanly or its error is not decided per
+    declaration (the caller then runs the whole pipeline).
+    """
     chunks = _split(source)
     if not chunks:
         return None
+    with tracer.span("parse"):
+        samples = _samples(source, chunks)
+    if samples is None:
+        return None
     try:
-        with tracer.span("parse"):
-            samples = _samples(source, chunks)
         with tracer.span("typecheck"):
             env = resolve(S.Program([s.decl for s in samples], None))
             _infer_effects(env, chunks, samples)
             interface = context_token(_interface(env))
-        with tracer.span("lower"):
-            results, compiled = _results(source, chunks, samples, env,
-                                         interface)
-            return _assemble(chunks, results, env, compiled)
+            results, fresh, problems = _check(
+                source, chunks, samples, env, interface
+            )
+        if not problems:
+            with tracer.span("lower"):
+                _lower(results, fresh, env)
+                return _assemble(chunks, results, env, len(fresh))
     except ReproError:
+        # A resolve or effect error may carry the spans of a cached
+        # declaration parsed at another position; and an error outside
+        # the checks is the whole pipeline's to raise.
         return None
+    raise problems[0]
 
 
 def clear():
@@ -138,25 +156,44 @@ def _split(source):
     return chunks
 
 
-def _parse(source, text, start, line, box_start):
+def _lex(source, chunk):
+    text, start, line = chunk
+    return tokenize(source, start, start + len(text), line)
+
+
+def _parse(tokens, box_start, last=True):
     """A declaration parsed by this compile: a result not yet checked or
-    lowered."""
-    decl, box_count, end = parse_decl(
-        source, start, start + len(text), line, box_start
-    )
+    lowered (``None`` when its syntax error is not decided alone)."""
+    parsed = parse_decl(tokens, box_start, last)
+    if parsed is None:
+        return None
+    decl, box_count, end = parsed
     return _DeclResult(decl, decl.span.start, end, box_count, None, ())
 
 
 def _samples(source, chunks):
     """A declaration AST per chunk: a cached one with the same text (only
-    ever read), or one parsed now."""
-    samples = []
+    ever read), or one parsed now; ``None`` when a syntax error is not
+    decided per declaration.
+
+    Every chunk without a cached sample is lexed before any is parsed,
+    so the first lexer error anywhere beats every parse error, as in the
+    whole program; a cached text lexed and parsed cleanly before.  Then
+    the first chunk in source order whose parse fails gives the error.
+    """
+    samples = [_SAMPLES.get(text) for text, _, _ in chunks]
+    tokens = [
+        _lex(source, chunk) if sample is None else None
+        for chunk, sample in zip(chunks, samples)
+    ]
+    last = len(chunks) - 1
     box_start = 0
-    for text, start, line in chunks:
-        sample = _SAMPLES.get(text)
+    for index, sample in enumerate(samples):
         if sample is None:
-            sample = _parse(source, text, start, line, box_start)
-        samples.append(sample)
+            sample = _parse(tokens[index], box_start, index == last)
+            if sample is None:
+                return None
+            samples[index] = sample
         box_start += sample.box_count
     return samples
 
@@ -203,32 +240,49 @@ def _interface(env):
     )
 
 
-def _results(source, chunks, samples, env, interface):
-    """Each chunk's result in this context: cached, or compiled now."""
+def _check(source, chunks, samples, env, interface):
+    """Each chunk's result in this context — cached, or its sample parsed
+    now and checked — the ``(index, key)`` of those not cached, and the
+    type errors their checks raised, in source order.
+
+    A result cached under this interface checked cleanly, so the first
+    error here is the whole program's first.
+    """
     results = []
-    compiled = 0
+    fresh = []
+    problems = []
     checker = _DeclChecker(env)
     box_start = 0
-    for (text, start, line), sample in zip(chunks, samples):
-        key = (text, box_start, interface)
+    for chunk, sample in zip(chunks, samples):
+        key = (chunk[0], box_start, interface)
         result = _RESULTS.get(key)
         if result is None:
-            compiled += 1
             if sample.lowered is not None:  # cached: never annotated again
-                sample = _parse(source, text, start, line, box_start)
-            decl = sample.decl
-            checker.check_decl(decl)
-            if isinstance(decl, S.DFun):
-                decl.effect = env.funs[decl.name].effect
-            result = _DeclResult(
-                decl, sample.start, sample.end, sample.box_count,
-                lower_decl(decl, env), tuple(decl_entries(decl)),
-            )
-            result = _RESULTS.put(key, result)
-            _SAMPLES.put(text, result)
+                sample = _parse(_lex(source, chunk), box_start)
+            try:
+                checker.check_decl(sample.decl)
+            except TypeProblem as problem:
+                problems.append(problem)
+            fresh.append((len(results), key))
+            result = sample
         results.append(result)
         box_start += result.box_count
-    return results, compiled
+    return results, fresh, problems
+
+
+def _lower(results, fresh, env):
+    """Lower and cache the checked declarations compiled now, in place."""
+    for index, key in fresh:
+        sample = results[index]
+        decl = sample.decl
+        if isinstance(decl, S.DFun):
+            decl.effect = env.funs[decl.name].effect
+        result = _RESULTS.put(key, _DeclResult(
+            decl, sample.start, sample.end, sample.box_count,
+            lower_decl(decl, env), tuple(decl_entries(decl)),
+        ))
+        _SAMPLES.put(key[0], result)
+        results[index] = result
 
 
 def _assemble(chunks, results, env, compiled):

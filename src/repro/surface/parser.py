@@ -66,23 +66,38 @@ def parse(source):
     return _Parser(tokenize(source)).parse_program()
 
 
-def parse_decl(source, start, end, line, box_start):
-    """Parse the one top-level declaration in lines ``source[start:end]``.
+def parse_decl(tokens, box_start, last):
+    """Parse the one top-level declaration lexed as ``tokens``.
 
-    ``start`` is the offset of its first line (line ``line``, a keyword
-    at column 0) and ``box_start`` the ``box_id`` of its first ``boxed``
-    statement.  Spans and box ids are those of the same declaration
-    parsed as part of the whole of ``source``.  Returns ``(decl,
-    box_count, end_pos)``, ``end_pos`` being where its tokens stop — the
-    start of the next declaration.  Raises :class:`SyntaxProblem` if the
-    lines hold anything but one declaration.
+    ``tokens`` are ``tokenize(source, start, end, line)`` of its lines
+    alone: up to their closing EOF, the very tokens the whole of
+    ``source`` has there.  ``box_start`` is the ``box_id`` of its first
+    ``boxed`` statement, and ``last`` says whether it is the source's
+    last declaration.  Spans and box ids are those of the same
+    declaration parsed as part of the whole of ``source``.  Returns
+    ``(decl, box_count, end_pos)``, ``end_pos`` being where its tokens
+    stop — the start of the next declaration.
+
+    Raises the :class:`SyntaxProblem` the whole program's parse raises
+    in these tokens.  Returns ``None`` where the lines alone cannot tell
+    which one that is: a problem found at the closing EOF of a
+    declaration that is not ``last`` (the whole program sees the next
+    declaration's first token there), or tokens left over after the
+    declaration.
     """
-    parser = _Parser(tokenize(source, start, end, line), box_start)
-    decl = parser._parse_decl()
+    parser = _Parser(tokens, box_start)
+    try:
+        decl = parser._parse_decl()
+    except SyntaxProblem:
+        # Every problem is raised at the cursor's token.
+        if last or not parser._at(EOF):
+            raise
+        return None
     while parser._accept(NEWLINE):
         pass
-    eof = parser._expect(EOF, what="the next declaration")
-    return decl, parser.box_counter - box_start, eof.span.end
+    if not parser._at(EOF):
+        return None
+    return decl, parser.box_counter - box_start, parser._peek().span.end
 
 
 class _Parser:

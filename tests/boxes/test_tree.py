@@ -79,6 +79,28 @@ class TestFreezing:
         with pytest.raises(ReproError):
             root.children()[0].append_attr("margin", ast.Num(1))
 
+    def test_freezing_records_every_boxes_shape(self):
+        def deep_tree():
+            root = small_tree()
+            inner = Box(box_id=2, occurrence=0)
+            inner.append_child(Box(box_id=3, occurrence=0))
+            root.children()[1].append_child(inner)
+            # A subtree frozen before (a replayed memo entry).
+            root.append_child(small_tree().freeze())
+            return root
+
+        unfrozen = deep_tree()
+        expected = [(box, box.shape()) for _path, box in unfrozen.walk()]
+        # An unfrozen box recounts on every call and caches nothing.
+        assert unfrozen._shape is None
+        root = deep_tree().freeze()
+        frozen = [box for _path, box in root.walk()]
+        assert [box._shape for box in frozen] == [
+            shape for _box, shape in expected
+        ]
+        assert root.count_boxes() == unfrozen.count_boxes() == 8
+        assert root.shape() == (8, 4)
+
 
 class TestEquality:
     def test_structural(self):

@@ -29,6 +29,17 @@ class TestValues:
         with pytest.raises(ReproError):
             ast.Num("3")
 
+    def test_float_num_is_the_validated_num(self):
+        built = ast.float_num(2.5)
+        assert type(built) is ast.Num
+        assert built == ast.Num(2.5) and hash(built) == hash(ast.Num(2.5))
+        assert repr(built) == repr(ast.Num(2.5))
+        # The validating constructor is untouched.
+        with pytest.raises(ReproError):
+            ast.Num(True)
+        with pytest.raises(ReproError):
+            ast.Num("1")
+
     def test_tuple_value_iff_components_values(self):
         assert ast.Tuple((ast.Num(1), ast.Str("a"))).is_value()
         assert not ast.Tuple((ast.GlobalRead("g"),)).is_value()

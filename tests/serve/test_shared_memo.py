@@ -56,11 +56,13 @@ class TestNativeBindings:
         # The same implementation object: a cross-session hit.
         assert "HELLO" in host.render(host.create())[0]
         assert host.metrics()["cluster.memo.shared_hits"] == 1
-        # Another implementation: re-executed under its own binding, and
-        # the next upper-casing session is not served its entry either.
+        # Another implementation: re-executed under its own binding, as
+        # a variant of its own, so the upper-casing variant survives and
+        # the next upper-casing session is served it.
         assert "hello" in host.render(host.create())[0]
-        assert "HELLO" in host.render(host.create())[0]
         assert host.metrics()["cluster.memo.shared_hits"] == 1
+        assert "HELLO" in host.render(host.create())[0]
+        assert host.metrics()["cluster.memo.shared_hits"] == 2
 
 
 class TestBound:

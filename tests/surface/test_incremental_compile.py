@@ -6,9 +6,12 @@ pipeline.  Over edit sequences — the paper's mortgage improvements, the
 gallery's warm and cold edits, generated programs whose declarations
 are inserted, deleted, moved and reordered, box renumbering and callee
 signature or effect changes — the two must build the same program, and
-a broken edit must report the same problem.
+a broken edit — those edits and seeded mutants of the mortgage app and
+the gallery — must report the same problem, decided per declaration
+wherever a declaration can see what the whole program sees.
 """
 
+import random
 import sys
 import threading
 
@@ -336,6 +339,128 @@ def test_a_broken_edit_reports_the_whole_pipeline_problem(source):
     assert assert_agrees(source) == "error"
 
 
+# -- seeded mutations ------------------------------------------------------------
+
+#: What a mutation inserts, or replaces a character with.
+PUNCTUATION = ("(", ")", "[", "]", ":", "=", ",", ".", '"', "/", "\\",
+               "//", "\n", "\t")
+#: Text a mutation puts at the start of a line (column 0).
+COLUMN_ZERO = ("x", "fun ", "page ", "global ", ")", "1", '"', "\t",
+               "fun f()\n", "page p()\n", "fun helper(x : number)\n",
+               "global extra : number = 1\n")
+#: Type-error mutations: an unknown name, or an argument of another type.
+RETYPES = (("(", '("s", '), ("(", "(1, "), ("l.price", "l.address"),
+           ("l.", "zz."), ("term", "nope"), ("apr", '"apr"'),
+           ("selected", "unknown"), ("title", "(title + 1)"),
+           (" 1 ", ' "one" '), ('"', '1 || "'))
+
+
+def mutation_bases():
+    """The sources mutants are drawn from: mortgage variants (I1–I3,
+    the ``note`` global as a number and as a string) and the gallery."""
+    return [
+        mortgage_variant(),
+        mortgage_variant({"I1", "I2", "I3"}),
+        mortgage_variant({"I2"}, note="number"),
+        mortgage_variant({"I1", "I3"}, note="string"),
+        function_gallery_source(rows=3, cols=2),
+    ]
+
+
+def mutate(source, rng):
+    """``source`` after 1–3 random deletions, insertions or replacements
+    of punctuation, column-0 text, declaration lines or type errors."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("delete", "insert", "replace", "line", "retype"))
+        at = rng.randrange(len(source) + 1)
+        if kind == "delete":
+            source = source[:at] + source[at + rng.randint(1, 3):]
+        elif kind == "insert":
+            source = source[:at] + rng.choice(PUNCTUATION) + source[at:]
+        elif kind == "replace":
+            source = source[:at] + rng.choice(PUNCTUATION) + source[at + 1:]
+        elif kind == "line":
+            at = source.rfind("\n", 0, at) + 1
+            source = source[:at] + rng.choice(COLUMN_ZERO) + source[at:]
+        else:
+            old, new = rng.choice(RETYPES)
+            found = source.find(old, at)
+            if found < 0:
+                found = source.find(old)
+            if found >= 0:
+                source = source[:found] + new + source[found + len(old):]
+    return source
+
+
+def mutant_differences(count, seed):
+    """Compile ``count`` seeded mutants incrementally (the declarations of
+    their base cached) and from scratch; the ``(index, source, outcomes)``
+    of every mutant whose outcomes differ."""
+    rng = random.Random(seed)
+    bases = mutation_bases()
+    impls = mortgage.host_impls()
+    differences = []
+    for index in range(count):
+        base = bases[index % len(bases)]
+        compile_source(base, impls)  # its declarations are cached
+        source = mutate(base, rng)
+        surface_compile._INTERNED.clear()
+        incremental = outcome(compile_source, source, impls)
+        fresh = outcome(compile_fresh, source, impls)
+        if incremental != fresh:
+            differences.append((index, source, incremental, fresh))
+    return differences
+
+
+#: The tier-1 profile; ``python tests/surface/test_incremental_compile.py
+#: COUNT [SEED]`` runs a longer soak.
+MUTANTS, MUTANT_SEED = 500, 20261019
+
+
+def test_seeded_mutants_report_the_whole_pipeline_problem():
+    assert mutant_differences(MUTANTS, MUTANT_SEED) == []
+
+
+def test_the_mutants_are_mostly_but_not_only_broken():
+    rng = random.Random(MUTANT_SEED)
+    impls = mortgage.host_impls()
+    kinds = [
+        outcome(compile_fresh, mutate(base, rng), impls)[0]
+        for base in mutation_bases() * 20
+    ]
+    assert kinds.count("ok") >= 5
+    assert kinds.count("error") >= 50
+
+
+def test_the_workload_broken_edits_raise_without_a_fallback():
+    impls = mortgage.host_impls()
+    tracer = Tracer()
+    for improvements in ((), ("I1",), ("I1", "I2"), ("I1", "I2", "I3")):
+        for note in (None, "number", "string"):
+            compile_source(mortgage_variant(improvements, note), impls,
+                           tracer=tracer)
+            broken = mortgage_variant(improvements, note, broken=True)
+            with pytest.raises(ReproError) as raised:
+                compile_source(broken, impls, tracer=tracer)
+            assert outcome(compile_fresh, broken, impls)[1] == (
+                type(raised.value), str(raised.value), None,
+                raised.value.span)
+    assert "surface.fresh_fallbacks" not in tracer.counters
+
+
+def test_an_undecided_error_falls_back_and_is_counted():
+    compile_source(PROGRAM)
+    tracer = Tracer()
+    # A function left without a body: alone, its parse stops at its EOF,
+    # where the whole program sees the next declaration's ``page``.
+    source = PROGRAM.replace(
+        '  for i = 1 to k do\n    boxed\n      post "row " || i\n', "")
+    with pytest.raises(ReproError):
+        compile_source(source, tracer=tracer)
+    assert tracer.counters["surface.fresh_fallbacks"] == 1
+    assert assert_agrees(source) == "error"
+
+
 # -- observability ---------------------------------------------------------------
 
 
@@ -415,3 +540,15 @@ def test_the_declaration_cache_stays_at_its_bound():
     assert tracer.counters["surface.decls_reused"] == 4
     decls.clear()
     assert len(cache) == 0
+
+
+if __name__ == "__main__":
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
+    seed = int(sys.argv[2]) if len(sys.argv) > 2 else random.randrange(2**32)
+    print("mutants: {} seed: {}".format(count, seed), flush=True)
+    found = mutant_differences(count, seed)
+    for index, source, incremental, fresh in found[:5]:
+        print("mutant {} differs:\n{}\nincremental: {}\nfresh: {}".format(
+            index, source, incremental, fresh))
+    print("{} of {} mutants differ".format(len(found), count))
+    sys.exit(1 if found else 0)
