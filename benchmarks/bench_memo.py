@@ -3,10 +3,13 @@
 The model's cost center is re-running the whole render body on every
 model change (E1/E5).  Memoizing render *functions* elides the calls
 whose inputs didn't change; a call's key is its code digest, its
-argument and the values of the globals it reads.  Four cases, each
-timed warm (the memo store kept) and cold (the store cleared before
-every timed step, which is what every re-render cost without
-memoization):
+argument and the values of the globals it reads.  The page's render
+is one more such call, so a step that left every read as it was would
+replay the whole display at once: every case but ``page_reopen`` writes
+a value its page has not read before, so the page re-executes and the
+function calls in it are what the case times.  Each case is timed warm
+(the memo store kept) and cold (the store cleared before every timed
+step, which is what every re-render cost without memoization):
 
 * ``rows`` — a list page whose rows are drawn by a helper function,
   after a tap on a global the rows do not read.  Expected shape: warm
@@ -22,15 +25,19 @@ memoization):
   two warm re-renders cost the same; a warm probe that re-hashed would
   pay a 1 000-element hash per row (about 0.2 ms each).
 * ``shared_store`` — two runtimes of the function gallery over one
-  store, one with cell 5 selected and one with cell 9, tapping their
-  own selected cell in turn.  Every row reads ``selected``; the store
-  keeps a variant per value, so both stay warm instead of evicting each
-  other's entries.
-* ``served_html`` — a warm ``SessionHost.render`` after a tap on the
-  30x6 function gallery, against the HTML build of the same display
-  copied into never-frozen boxes.  The memo replays the untouched rows
-  as frozen subtrees that keep their HTML fragments, so the served
-  render costs the changed cells, not the page.
+  store, one with cell 5 selected and one with cell 9, tapping a
+  counter only the page reads in turn.  Every row reads ``selected``;
+  the store keeps a variant per value, so both stay warm instead of
+  evicting each other's entries.
+* ``page_reopen`` — a new runtime over a store another runtime filled
+  opens the function gallery and selects the cell the other selected.
+  Both of its renders show a state the store has seen, so each is one
+  page probe returning the stored display.
+* ``served_html`` — a warm ``SessionHost.render`` after a cell tap and
+  a counter tap on the 30x6 function gallery, against the HTML build of
+  the same display copied into never-frozen boxes.  The memo replays
+  the rows as frozen subtrees that keep their HTML fragments, so the
+  served render costs the changed page-level boxes, not the page.
 
 Runs three ways::
 
@@ -40,7 +47,8 @@ Runs three ways::
 
 ``--check`` fails (exit 1) unless the warm p50 is at least
 ``MIN_SPEEDUP`` times faster than the cold p50 on ``large_list``, on
-``shared_store`` and on ``served_html``, and unless the warm
+``shared_store``, on ``page_reopen`` and on ``served_html``, and unless
+the warm
 ``large_list`` p50 stays within ``MAX_LIST_SIZE_RATIO`` of the warm
 ``small_list`` one — ratios within one run, so they hold on any
 hardware.  Full and quick runs append
@@ -78,7 +86,7 @@ MIN_SPEEDUP = 2.0
 #: --check fails when warm large_list p50 / warm small_list p50 exceeds this.
 MAX_LIST_SIZE_RATIO = 1.5
 
-GATED_CASES = ("large_list", "shared_store")
+GATED_CASES = ("large_list", "shared_store", "page_reopen")
 
 ROWS_TEMPLATE = """\
 global clicks : number = 0
@@ -125,9 +133,27 @@ page start()
         clicks := clicks + 1
 """
 
+#: Appended to the function gallery's page: a counter only the page reads.
+CLICKS_BOX = """\
+    boxed
+      post "clicks " || clicks
+      on tap do
+        clicks := clicks + 1
+"""
+
 LIST_ITEMS = 1000
 GALLERY_ROWS, GALLERY_COLS = 10, 4
 SERVED_ROWS, SERVED_COLS = 30, 6
+
+
+def clicks_gallery(rows, cols):
+    """The function gallery plus :data:`CLICKS_BOX`: a tap on the counter
+    changes the page's read values but no row's, so the page re-executes
+    and replays every row."""
+    return function_gallery_source(rows=rows, cols=cols).replace(
+        "global selected : number = -1\n",
+        "global selected : number = -1\nglobal clicks : number = 0\n",
+    ) + CLICKS_BOX
 
 
 def _runtime(source, store=None):
@@ -137,16 +163,21 @@ def _runtime(source, store=None):
     ).start()
 
 
-def rows_case(rows=64):
-    """``(steps, stores)``: tap ``clicks``, which no row reads."""
-    runtime = _runtime(ROWS_TEMPLATE.format(rows=rows))
+def _tap_clicks(runtime):
+    """A step tapping the ``clicks N`` counter, which no row reads."""
     state = {"clicks": 0}
 
     def tap():
         runtime.tap_text("clicks {}".format(state["clicks"]))
         state["clicks"] += 1
 
-    return [tap], [runtime.system.render_memo.memo_store]
+    return tap
+
+
+def rows_case(rows=64):
+    """``(steps, stores)``: tap ``clicks``, which no row reads."""
+    runtime = _runtime(ROWS_TEMPLATE.format(rows=rows))
+    return [_tap_clicks(runtime)], [runtime.system.render_memo.memo_store]
 
 
 def invalidating_case(rows=32):
@@ -164,25 +195,33 @@ def large_list_case(rows=64, items=LIST_ITEMS):
         rows=rows, items=", ".join(str(n) for n in range(items))
     )
     runtime = _runtime(source)
-    state = {"clicks": 0}
-
-    def tap():
-        runtime.tap_text("clicks {}".format(state["clicks"]))
-        state["clicks"] += 1
-
-    return [tap], [runtime.system.render_memo.memo_store]
+    return [_tap_clicks(runtime)], [runtime.system.render_memo.memo_store]
 
 
 def shared_store_case():
-    """Two gallery runtimes over one store, selecting cells 5 and 9."""
+    """Two gallery runtimes over one store, selecting cells 5 and 9,
+    then tapping their counters in turn."""
     store = MemoStore()
-    source = function_gallery_source(rows=GALLERY_ROWS, cols=GALLERY_COLS)
+    source = clicks_gallery(GALLERY_ROWS, GALLERY_COLS)
     steps = []
     for cell in ("[5]", "[9]"):
         runtime = _runtime(source, store=store)
         runtime.tap_text(cell)
-        steps.append(lambda runtime=runtime, cell=cell: runtime.tap_text(cell))
+        steps.append(_tap_clicks(runtime))
     return steps, [store]
+
+
+def page_reopen_case():
+    """A new gallery runtime, opened over a store another runtime filled,
+    selects the cell the other selected: two page hits."""
+    store = MemoStore()
+    source = function_gallery_source(rows=GALLERY_ROWS, cols=GALLERY_COLS)
+    _runtime(source, store=store).tap_text("[5]")
+
+    def reopen():
+        _runtime(source, store=store).tap_text("[5]")
+
+    return [reopen], [store]
 
 
 def small_list_case():
@@ -196,6 +235,7 @@ CASES = {
     "large_list": large_list_case,
     "small_list": small_list_case,
     "shared_store": shared_store_case,
+    "page_reopen": page_reopen_case,
 }
 
 
@@ -269,9 +309,7 @@ def measure_served_html(rounds):
     """Warm served render after a tap vs an uncached HTML build."""
     host = SessionHost(
         pool_size=1,
-        default_source=function_gallery_source(
-            rows=SERVED_ROWS, cols=SERVED_COLS
-        ),
+        default_source=clicks_gallery(SERVED_ROWS, SERVED_COLS),
     )
     token = host.create()
     host.render(token)
@@ -279,6 +317,8 @@ def measure_served_html(rounds):
     warm, cold = [], []
     for round_ in range(rounds):
         host.tap(token, text=cells[round_ % 2])
+        # The counter keeps each state new, so the page re-executes.
+        host.tap(token, text="clicks {}".format(round_))
         started = time.perf_counter()
         html, _generation, _modified = host.render(token)
         warm.append(time.perf_counter() - started)

@@ -57,6 +57,11 @@ class AttrSet(BoxItem):
     __slots__ = ("name", "value")
 
 
+#: The fragment slot of a box whose HTML fragment is never kept
+#: (:meth:`Box.freeze`, :func:`repro.render.html_backend._fragment`).
+NO_FRAGMENT = (None, "")
+
+
 class Box(BoxItem):
     """``B ⟨B⟩`` — a box with ordered content items.
 
@@ -107,21 +112,30 @@ class Box(BoxItem):
             raise ReproError("append_child expects a Box")
         self.items.append(box)
 
-    def freeze(self):
+    def freeze(self, keep_fragments=True):
         """Recursively mark the tree immutable (done when render finishes).
 
         Records each box's :meth:`shape` as it returns, so reading it
         after a render costs no second recursion.  Stops at subtrees that
         are already frozen, so splicing a frozen memo entry into a page
         costs nothing here.
+
+        ``keep_fragments=False`` marks every box it freezes as never
+        keeping its HTML fragment (:data:`NO_FRAGMENT`).  A memoized
+        render freezes its page-level boxes so: the page's memo entry
+        holds them once per page variant, and their fragments would
+        repeat, in every variant, the markup of the memoized subtrees
+        below them, which keep their own.
         """
         if self._frozen:
             return self
         self._frozen = True
+        if not keep_fragments:
+            self._fragment = NO_FRAGMENT
         count, below = 1, 0
         for item in self.items:
             if isinstance(item, Box):
-                kid_count, kid_height = item.freeze().shape()
+                kid_count, kid_height = item.freeze(keep_fragments).shape()
                 count += kid_count
                 if kid_height > below:
                     below = kid_height

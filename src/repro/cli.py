@@ -467,6 +467,7 @@ def cmd_top(args, out):
 
 
 def cmd_serve(args, out):
+    from .cluster.transport import publish_port
     from .serve.app import make_server, shutdown_gracefully
     from .serve.host import server_tracer
 
@@ -508,8 +509,7 @@ def cmd_serve(args, out):
     server = make_server(host, port=args.port, bind=args.bind)
     port = server.server_address[1]
     if args.port_file:
-        with open(args.port_file, "w") as handle:
-            handle.write(str(port))
+        publish_port(args.port_file, port)
     print(
         "serving {} on http://{}:{} (pool size {})".format(
             args.file, args.bind, port, args.pool_size
@@ -540,6 +540,7 @@ def cmd_serve(args, out):
 def _serve_cluster(args, out, source, tracer):
     """``repro serve --cluster-workers N``: the sharded serving path."""
     from .cluster import ClusterRouter, ClusterSupervisor
+    from .cluster.transport import publish_port
     from .serve.app import make_server, shutdown_gracefully
 
     supervisor = ClusterSupervisor(
@@ -568,8 +569,7 @@ def _serve_cluster(args, out, source, tracer):
     server = make_server(router, port=args.port, bind=args.bind)
     port = server.server_address[1]
     if args.port_file:
-        with open(args.port_file, "w") as handle:
-            handle.write(str(port))
+        publish_port(args.port_file, port)
     print(
         "serving {} on http://{}:{} ({} workers, journals under {})".format(
             args.file, args.bind, port, args.cluster_workers,

@@ -22,12 +22,26 @@ Three pieces:
 from __future__ import annotations
 
 import json
+import os
 import queue
 import socket
 import struct
 import threading
 
 from ..core.errors import ReproError
+
+
+def publish_port(port_file, port):
+    """Write ``port`` to ``port_file`` atomically: the text goes to a
+    temporary file that is then renamed over the target, so a reader
+    polling for the file never sees it empty or partial.  Every serving
+    process (``repro serve``, the cluster front and each worker)
+    advertises its port so."""
+    tmp = port_file + ".tmp"
+    with open(tmp, "w") as handle:
+        handle.write(str(port))
+    os.replace(tmp, port_file)
+
 
 _HEADER = struct.Struct(">I")
 

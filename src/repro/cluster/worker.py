@@ -53,7 +53,7 @@ from ..resilience.journal import (
 from ..serve.host import SERVE_POSTURE, SessionHost, server_tracer
 from ..serve.protocol import error_response, handle_request
 from ..stdlib.web import DEFAULT_LATENCY, make_services, web_host_impls
-from .transport import FrameServer, decode_json, encode_json
+from .transport import FrameServer, decode_json, encode_json, publish_port
 
 
 def adopt_session(host, foreign_dir, token):
@@ -296,13 +296,6 @@ class Worker:
     def address(self):
         return self.server.address
 
-    def publish_port(self, port_file):
-        """Write the port atomically: readers never see a partial file."""
-        tmp = port_file + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write("{}\n".format(self.address[1]))
-        os.replace(tmp, port_file)
-
     def request_drain(self):
         self._drain.set()
 
@@ -327,7 +320,7 @@ def worker_main(config):
     signal.signal(signal.SIGINT, _on_signal)
     port_file = config.get("port_file")
     if port_file is not None:
-        worker.publish_port(port_file)
+        publish_port(port_file, worker.address[1])
     worker.wait()
     drained = worker.shutdown(
         drain_timeout=config.get("drain_timeout", 5.0)

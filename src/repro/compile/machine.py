@@ -855,6 +855,10 @@ class Compiled:
     closures through its :class:`_Run` context.
     """
 
+    #: The steps the most recent run charged (a page memo entry records
+    #: them, :meth:`~repro.eval.memo.RenderMemo.store_page`).
+    last_steps = 0
+
     def __init__(self, code, natives=EMPTY_NATIVES, services=None, memo=None,
                  tracer=NULL_TRACER):
         if not isinstance(code, Code):
@@ -892,6 +896,7 @@ class Compiled:
                 "(recursion through lambda values too deep)"
             ) from None
         finally:
+            self.last_steps = rt.steps
             self.tracer.add("eval_steps", rt.steps)
 
     # -- Evaluator protocol -----------------------------------------------------
@@ -908,7 +913,9 @@ class Compiled:
         self._run(
             expr, RENDER, store, None, root, _OccurrenceCounter(), fuel
         )
-        return root.freeze()
+        # A memoized render's page-level boxes keep no fragments
+        # (Box.freeze); the memoized subtrees in them keep theirs.
+        return root.freeze(keep_fragments=self.memo is None)
 
     def run_pure(self, store, expr, fuel=DEFAULT_FUEL):
         """``(C, S, e) →p* (C, S, v)``."""

@@ -297,6 +297,10 @@ class BigStep:
     ``tests/eval/test_memo.py``.
     """
 
+    #: The steps the most recent run charged (a page memo entry records
+    #: them, :meth:`~repro.eval.memo.RenderMemo.store_page`).
+    last_steps = 0
+
     def __init__(self, code, natives=EMPTY_NATIVES, services=None, memo=None,
                  tracer=NULL_TRACER):
         if not isinstance(code, Code):
@@ -333,6 +337,7 @@ class BigStep:
         finally:
             # One counter update per machine run keeps the hot loop free
             # of instrumentation (the NullTracer call is a no-op anyway).
+            self.last_steps = steps
             self.tracer.add("eval_steps", steps)
 
     # -- eval dispatch: control is a non-value expression ------------------------
@@ -566,7 +571,9 @@ class BigStep:
         self._run(
             expr, RENDER, store, None, root, _OccurrenceCounter(), fuel
         )
-        return root.freeze()
+        # A memoized render's page-level boxes keep no fragments
+        # (Box.freeze); the memoized subtrees in them keep theirs.
+        return root.freeze(keep_fragments=self.memo is None)
 
     def run_pure(self, store, expr, fuel=DEFAULT_FUEL):
         """``(C, S, e) →p* (C, S, v)``."""

@@ -43,6 +43,24 @@ tuple of values) the same :class:`~repro.incremental.store.ReadValues`
 object — hash computed once — is reused, and a repeat probe costs an
 integer-tuple compare plus store lookups that end on identity.
 
+**The page is a memoized call too.**  RENDER's own call, the page's
+render body applied to its argument, obeys the same rule: its output
+depends only on the page's code, its argument, the values of its
+transitive read set and the natives it may reach.  :class:`MemoFacts`
+therefore keys each page ``("page", name)`` beside the functions — a
+digest of the render body closed over the user functions it calls
+(:func:`~repro.incremental.digest.page_digests`), its sorted read order
+and its native set — and ``System.render`` probes
+:meth:`RenderMemo.probe_page` before running the page, storing the
+frozen root after a miss (:meth:`RenderMemo.store_page`).  A hit
+returns that root object as it is: no evaluation, no replay walk, no
+freeze, and its HTML comes from the fragments it keeps.  A render starts
+its occurrence counters at zero, so the stored numbers are the ones
+execution would draw.  Page entries live in the same store, under the
+same bounds; an entry records the steps its render charged and is taken
+only under a budget that covers them.  Page probes count apart
+(``page_hits`` / ``page_misses``), and a page hit probes no function.
+
 The historical occurrence-number caveat is gone: replayed subtrees used
 to keep the occurrence numbers of their original execution, so with
 memoization on they identified *which call produced a box* rather than
@@ -63,7 +81,7 @@ from ..core.defs import Code, def_derived
 from ..core.effects import RENDER
 from ..core.errors import ReproError
 from ..core.prims import PRIM_SIGS
-from ..incremental.digest import code_digests
+from ..incremental.digest import code_digests, page_digests
 from ..incremental.store import CallKey, MemoEntry, MemoStore, ReadValues
 from ..obs.trace import NULL_TRACER
 from .natives import EMPTY_NATIVES
@@ -105,9 +123,26 @@ def _function_facts(code):
     }
 
 
+def _page_facts(code):
+    """``("page", name)`` → the :func:`_function_facts` triple of each
+    page's render body, which RENDER applies to the page argument."""
+    return {
+        ("page", page.name): def_derived(page, "memo_facts", _render_facts)
+        for page in code.pages()
+    }
+
+
 def _body_facts(definition):
+    return _expr_facts(definition.body)
+
+
+def _render_facts(page):
+    return _expr_facts(page.render)
+
+
+def _expr_facts(expr):
     reads, natives, callees = set(), set(), set()
-    for node in ast.walk(definition.body):
+    for node in ast.walk(expr):
         if isinstance(node, ast.GlobalRead):
             reads.add(node.name)
         elif isinstance(node, ast.FunRef):
@@ -185,22 +220,28 @@ class MemoFacts:
     ``read_orders`` holds each read set as a sorted name tuple, the
     order of a call's read-values key; functions with equal read sets
     share one tuple.
+
+    Each page has the same three facts under the key ``("page", name)``:
+    its render body's digest (:func:`~repro.incremental.digest.
+    page_digests`), and its read and native sets closed over the
+    functions it calls.  They make RENDER's own call one more memoized
+    call (:meth:`RenderMemo.probe_page`).
     """
 
     __slots__ = ("read_orders", "native_sets", "digests", "eligible")
 
     def __init__(self, code):
         facts = _function_facts(code)
+        facts.update(_page_facts(code))
         orders = {}
         self.read_orders = {
             name: orders.setdefault(reads, tuple(sorted(reads)))
             for name, reads in _transitive(facts, _READS).items()
         }
         self.native_sets = _transitive(facts, _NATIVES)
-        self.digests = code_digests(
-            code,
-            callees={name: fact[_CALLEES] for name, fact in facts.items()},
-        )
+        callees = {name: fact[_CALLEES] for name, fact in facts.items()}
+        self.digests = code_digests(code, callees=callees)
+        self.digests.update(page_digests(code, callees=callees))
         self.eligible = frozenset(
             d.name
             for d in code.functions()
@@ -253,6 +294,8 @@ class RenderMemo:
         self.misses_cold = 0
         self.misses_read_values = 0
         self.replayed_boxes = 0
+        self.page_hits = 0
+        self.page_misses = 0
 
     def eligible(self, name):
         """Is ``name`` a memoizable (user-written, render-effect) function?"""
@@ -369,8 +412,55 @@ class RenderMemo:
             self.misses_cold += 1
             self.tracer.add("incremental.memo_miss.cold")
 
+    def probe_page(self, name, arg_value, store, fuel):
+        """The stored display of page ``name`` rendered with
+        ``arg_value`` under ``store``, or ``None`` — RENDER's own call,
+        probed as :meth:`probe` probes a function call.
+
+        The key is the page's digest, its argument, and the values of its
+        read set (with its natives' bindings).  A render charges steps,
+        so the entry records what its execution charged, and is taken
+        only if ``fuel`` covers them: a budget that would trip
+        re-executes and trips.  Page probes count apart from function
+        probes (``page_hits`` / ``page_misses``).
+        """
+        key = ("page", name)
+        entry = self.memo_store.get(
+            CallKey(self._digests.get(key), arg_value),
+            self._read_key(key, store),
+        )
+        if (entry is None or entry.steps > fuel
+                or (entry.natives and not self._binds(entry))):
+            self.page_misses += 1
+            self.tracer.add("memo_page_misses")
+            return None
+        self.page_hits += 1
+        self.tracer.add("memo_page_hits")
+        note = getattr(self.memo_store, "note_shared_hit", None)
+        if note is not None:
+            note(entry)
+        return entry.items
+
+    def store_page(self, name, arg_value, store, root, steps):
+        """Record the frozen display ``root`` that rendering page
+        ``name`` with ``arg_value`` produced in ``steps`` steps.
+
+        The render started its occurrence counters at zero, so the
+        numbers in ``root`` are the ones any later execution under the
+        same key would draw: a hit may return the very same object.
+        """
+        key = ("page", name)
+        self.memo_store.put(
+            CallKey(self._digests.get(key), arg_value),
+            self._read_key(key, store),
+            MemoEntry(root, None, root.count_boxes(),
+                      natives=self._binding(key), steps=steps),
+        )
+
     def stats(self):
         return {"hits": self.hits, "misses": self.misses,
                 "misses_cold": self.misses_cold,
                 "misses_read_values": self.misses_read_values,
+                "page_hits": self.page_hits,
+                "page_misses": self.page_misses,
                 "entries": len(self.memo_store)}

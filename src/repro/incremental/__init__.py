@@ -10,7 +10,9 @@ outlive UPDATE:
 
 * :mod:`repro.incremental.digest` — per-function **code digests**: a
   hash of the definition body closed over its transitive ``FunRef``\\ s,
-  alpha-normalized so compiler-generated fresh names don't shift it.
+  alpha-normalized so compiler-generated fresh names don't shift it;
+  each page's render body gets one too, so RENDER's own call is keyed
+  the same way.
   Keying entries by ``(digest, argument)`` instead of machine identity
   makes "this function's code did not change" a dictionary lookup.
 * :mod:`repro.incremental.store` — the :class:`MemoStore`, a bounded
@@ -23,7 +25,7 @@ holds now are the ones it was produced from — the rule ``docs/PERF.md``
 spells out.
 """
 
-from .digest import code_digests, function_canon
+from .digest import code_digests, function_canon, page_canon, page_digests
 from .store import CallKey, MemoEntry, MemoStore, ReadValues
 
 __all__ = [
@@ -33,4 +35,6 @@ __all__ = [
     "ReadValues",
     "code_digests",
     "function_canon",
+    "page_canon",
+    "page_digests",
 ]

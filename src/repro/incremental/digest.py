@@ -26,6 +26,10 @@ invariant under those renamings:
 
 Everything else that could change behaviour — literals, effects,
 parameter types, global names, primitive ops — is hashed verbatim.
+
+A page's render body is digested the same way (:func:`page_digests`),
+so RENDER's own call is keyed like a function call and its memo entry
+survives every edit the page cannot reach.
 """
 
 from __future__ import annotations
@@ -170,6 +174,23 @@ def function_canon(name, code):
     return "".join(out)
 
 
+def page_canon(name, code):
+    """The canonical string of the render body of ``code``'s page
+    ``name`` — what RENDER evaluates, applied to the page argument.
+
+    Canonicalized exactly as a function body (generated functions
+    inlined, user functions by name), under a ``page`` tag so no function
+    canon can equal it.  The init body is left out: RENDER never runs it.
+    Raises ``KeyError`` for an undefined page.
+    """
+    page = code.page(name)
+    if page is None:
+        raise KeyError(name)
+    out = ["page[{}]".format(page.arg_type)]
+    _canon(page.render, code, out, {}, 0, ())
+    return "".join(out)
+
+
 class _Same:
     """A key part equal only to itself: identity, not structure."""
 
@@ -185,42 +206,55 @@ class _Same:
         return type(other) is _Same and other.obj is self.obj
 
 
-def _cached_canon(name, code, callees):
-    """:func:`function_canon`, kept per definition object.
+def _cached_canon(key, code, callees):
+    """:func:`function_canon` of function ``key``, or :func:`page_canon`
+    of page ``name`` for a ``("page", name)`` key, kept per definition
+    object.
 
-    The canon reads the function's own body and the bodies of the
+    The canon reads the definition's own body and the bodies of the
     generated functions it inlines, so those definitions (by identity)
-    are the key: a function reused unchanged from an earlier code version
-    with the same loop functions keeps its canon.
+    are the key: a function or page reused unchanged from an earlier
+    code version with the same loop functions keeps its canon.
     """
     inlined = []
     seen = set()
-    frontier = [name]
+    frontier = [key]
     while frontier:
         for callee in sorted(callees.get(frontier.pop(), ())):
             if callee.startswith(GENERATED_PREFIX) and callee not in seen:
                 seen.add(callee)
                 inlined.append((callee, _Same(code.function(callee))))
                 frontier.append(callee)
-    definition = code.function(name)
+    if type(key) is tuple:
+        name = key[1]
+        definition, canon = code.page(name), page_canon
+    else:
+        name = key
+        definition, canon = code.function(name), function_canon
     if definition is None:
-        raise KeyError(name)
+        raise KeyError(key)
     return def_derived(
         definition,
         ("canon", tuple(inlined)),
-        lambda definition: function_canon(name, code),
+        lambda definition: canon(name, code),
     )
 
 
 def _callee_graph(code):
-    """name → the ``FunRef`` names in each function's body."""
-    return {
-        definition.name: {
-            node.name
-            for node in ast.walk(definition.body)
-            if isinstance(node, ast.FunRef)
-        }
+    """name → the ``FunRef`` names in each function's body, and
+    ``("page", name)`` → those in each page's render body."""
+    graph = {
+        definition.name: _fun_refs(definition.body)
         for definition in code.functions()
+    }
+    for page in code.pages():
+        graph[("page", page.name)] = _fun_refs(page.render)
+    return graph
+
+
+def _fun_refs(expr):
+    return {
+        node.name for node in ast.walk(expr) if isinstance(node, ast.FunRef)
     }
 
 
@@ -255,26 +289,47 @@ def code_digests(code, callees=None):
     ``callees`` (name → ``FunRef`` names in that function's body) saves
     the walk over every body when the caller already collected it.
     """
+    return _digests(
+        code, callees,
+        [
+            definition.name for definition in code.functions()
+            if not definition.name.startswith(GENERATED_PREFIX)
+        ],
+    )
+
+
+def page_digests(code, callees=None):
+    """``("page", name) → hex digest`` for every page of ``code``: the
+    page's render canon followed by the canon of every user function it
+    can reach, as :func:`code_digests` digests a function.  RENDER's own
+    call is then one more memoizable call (:mod:`repro.eval.memo`).
+
+    ``callees`` must hold the ``("page", name)`` rows too (see
+    :func:`_callee_graph`).
+    """
+    return _digests(
+        code, callees, [("page", page.name) for page in code.pages()]
+    )
+
+
+def _digests(code, callees, keys):
     if callees is None:
         callees = _callee_graph(code)
     canons = {}
 
-    def canon_of(fname):
-        cached = canons.get(fname)
+    def canon_of(key):
+        cached = canons.get(key)
         if cached is None:
-            cached = canons[fname] = _cached_canon(fname, code, callees)
+            cached = canons[key] = _cached_canon(key, code, callees)
         return cached
 
     digests = {}
-    for definition in code.functions():
-        name = definition.name
-        if name.startswith(GENERATED_PREFIX):
-            continue
+    for key in keys:
         hasher = hashlib.sha256()
-        hasher.update(canon_of(name).encode("utf-8"))
-        for callee in sorted(_reachable_user_functions(name, callees)):
+        hasher.update(canon_of(key).encode("utf-8"))
+        for callee in sorted(_reachable_user_functions(key, callees)):
             hasher.update(
                 "|{}={}".format(callee, canon_of(callee)).encode("utf-8")
             )
-        digests[name] = hasher.hexdigest()
+        digests[key] = hasher.hexdigest()
     return digests

@@ -121,6 +121,9 @@ class ReadValues:
 
 class MemoEntry:
     """One cached render call: the box items it appended and its value.
+    For a page's render (:meth:`~repro.eval.memo.RenderMemo.probe_page`)
+    ``items`` is the frozen display root and ``steps`` the evaluation
+    steps its execution charged.
 
     ``origin`` names the session (token) that executed the call;
     ``None`` for private per-System stores.  A hit on an entry with a
@@ -130,14 +133,16 @@ class MemoEntry:
     the producer had bound, in name order.
     """
 
-    __slots__ = ("items", "value", "boxes", "origin", "natives")
+    __slots__ = ("items", "value", "boxes", "origin", "natives", "steps")
 
-    def __init__(self, items, value, boxes, origin=None, natives=()):
+    def __init__(self, items, value, boxes, origin=None, natives=(),
+                 steps=0):
         self.items = items          # the cached box items (frozen trees)
         self.value = value          # the call's return value
         self.boxes = boxes          # boxes in ``items``, for replay stats
         self.origin = origin        # producing session, for shared stores
         self.natives = natives      # ((native, implementation), ...)
+        self.steps = steps          # a page render's charged steps
 
 
 class MemoStore:

@@ -43,6 +43,8 @@ CATALOG = (
     "boxes_rendered",
     "memo_hits",
     "memo_misses",
+    "memo_page_hits",
+    "memo_page_misses",
     "store_entries_deleted",
     "stack_frames_fixed",
     "events_queued",

@@ -18,7 +18,7 @@ import hashlib
 from html import escape
 
 from ..boxes.attributes import ATTRIBUTE_ENV, as_number, as_string
-from ..boxes.tree import AttrSet, Box, Leaf
+from ..boxes.tree import NO_FRAGMENT, AttrSet, Box, Leaf
 from ..core import names
 from ..core.errors import ReproError
 from ..core.types import NumberType
@@ -73,6 +73,13 @@ def render_html_fragment(box, indent=0):
     """One box (and its content) as an HTML fragment."""
     if not isinstance(box, Box):
         raise ReproError("render_html_fragment expects a Box")
+    if box._fragment is NO_FRAGMENT:
+        # The root of a memoized render, which the page memo hands to
+        # every session in that state: it keeps its whole body, in place
+        # of the fragments its page-level boxes do not keep.
+        text = _fragment(box, indent, keep=False)[0]
+        box._fragment = (indent, text)
+        return text
     return _fragment(box, indent, keep=False)[0]
 
 
@@ -94,7 +101,8 @@ def _fragment(box, indent, keep=True):
     the same frozen subtrees into every render (and, over a shared
     store, into every session), so a replayed subtree costs one slot
     read.  ``keep=False`` (the page root, whose document the caller
-    holds anyway) stores nothing.
+    holds anyway) stores nothing, and neither does a box frozen with
+    ``keep_fragments=False`` (a memoized render's page-level boxes).
 
     Cached markup stays linear in the document: a frozen box keeps its
     fragment only if it has at least twice the boxes of the largest
@@ -149,10 +157,11 @@ def _fragment(box, indent, keep=True):
     ) + "\n".join(body)
     height = below + 1
     if box._frozen:
-        reach = boxes if boxes >= 2 * reach_below else reach_below
+        kept = cached is not NO_FRAGMENT
+        reach = boxes if kept and boxes >= 2 * reach_below else reach_below
         box._shape = (boxes, height)
         box._reach = reach
-        if keep and reach == boxes:
+        if keep and kept and reach == boxes:
             box._fragment = (indent, text)
     else:
         reach = reach_below

@@ -9,8 +9,9 @@ one session stay serialized.
 :class:`~repro.live.session.LiveSession`: compiled code, evaluator,
 display).  When the pool overflows, the least-recently-used idle
 sessions are **evicted**: serialized to session images with
-:func:`repro.persist.save_image` and dropped.  The next request for an
-evicted session transparently **rehydrates** it with
+:func:`repro.persist.save_image`, kept as compressed JSON, and
+dropped.  The next request for an evicted session transparently
+**rehydrates** it with
 :func:`~repro.persist.load_image`.  Because loading an image *is* an
 UPDATE (the saved state is fixed up against the code with the Fig. 12
 relation), eviction is invisible to clients: the rehydrated display is
@@ -19,7 +20,9 @@ while the session is paged out behaves exactly like a live edit.
 
 **Generations.**  Every session carries a display generation — a counter
 bumped whenever the HTML document of its display actually changes.  A
-dirty render builds the document once
+dirty render whose display is the very tree the kept document came from
+(the page memo hands back stored displays) serves that document as it
+is; any other builds the document once
 (:func:`repro.render.html_backend.render_html`, whose frozen subtrees
 serve their cached fragments) and hashes that document's bytes; the
 hash survives eviction, so a rehydrated session keeps its generation.
@@ -59,6 +62,7 @@ from __future__ import annotations
 import json
 import secrets
 import threading
+import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from types import MappingProxyType
@@ -114,8 +118,8 @@ class _Entry:
     """One hosted session: either resident (``session``) or an image."""
 
     __slots__ = (
-        "token", "lock", "session", "image",
-        "generation", "html", "html_bytes", "fingerprint", "dirty", "title",
+        "token", "lock", "session", "image", "generation",
+        "html", "html_bytes", "display", "fingerprint", "dirty", "title",
         "consecutive_faults", "quarantined",
         "repair_report", "repair_thread",
     )
@@ -127,10 +131,11 @@ class _Entry:
         # thread itself is the one using the session.
         self.lock = threading.Lock()
         self.session = session     # LiveSession when resident, else None
-        self.image = None          # (source, image JSON) when evicted
+        self.image = None          # (source, compressed image JSON)
         self.generation = 0        # bumped when the HTML bytes change
         self.html = None           # last rendered document
         self.html_bytes = 0        # its UTF-8 length, for ``bytes_served``
+        self.display = None        # the display ``html`` was built from
         self.fingerprint = None    # content hash behind ``generation``
         self.dirty = True          # a mutation may have changed the view
         self.title = title
@@ -344,8 +349,9 @@ class SessionHost:
         """
         with self.session(token) as entry:
             entry.generation = max(entry.generation, generation_floor)
+            display = entry.session.display
             entry.fingerprint = self._keep_document(
-                entry, render_html(entry.session.display, title=entry.title)
+                entry, display, render_html(display, title=entry.title)
             )
             entry.dirty = True
 
@@ -402,8 +408,8 @@ class SessionHost:
 
     def _rehydrate(self, entry):
         """Entry lock held: rebuild the LiveSession from its image."""
-        source, text = entry.image
-        image = json.loads(text)
+        source, data = entry.image
+        image = json.loads(zlib.decompress(data))
         image["source"] = source
         entry.session = load_image(
             image,
@@ -461,20 +467,23 @@ class SessionHost:
         """Entry lock held: serialize to an image and drop the session.
 
         The image is kept as its source (shared with every session
-        running it) and the compact JSON text of the rest, a fraction of
-        the memory of the nested lists it encodes.  The HTML document
-        goes too, unless the session is quarantined (degraded service
-        serves it).  Every other render rehydrates first and rebuilds it
-        at most once; the kept fingerprint means the rebuild bumps no
-        generation.
+        running it) and the compact JSON text of the rest, compressed at
+        zlib's fastest level: a fraction of the memory of the nested
+        lists it encodes, and about a third of the text.  The HTML
+        document goes too, unless the session is quarantined (degraded
+        service serves it).  Every other render rehydrates first and
+        rebuilds it at most once; the kept fingerprint means the rebuild
+        bumps no generation.
         """
         image = save_image(
             entry.session,
             meta={"token": entry.token, "generation": entry.generation},
         )
         source = image.pop("source")
-        entry.image = (source, json.dumps(image, separators=(",", ":")))
+        text = json.dumps(image, separators=(",", ":"))
+        entry.image = (source, zlib.compress(text.encode("utf-8"), 1))
         entry.session = None
+        entry.display = None
         if not entry.quarantined:
             entry.html = None
         self._count("sessions_evicted")
@@ -728,11 +737,14 @@ class SessionHost:
         the 304 path costs a dirty-flag check.  ``html`` is ``None`` iff
         ``modified`` is False.
 
-        A dirty render builds the document once.  Frozen subtrees the
-        render memo replayed serve their cached fragments, so the build
-        costs what changed, not the page.  A document equal to the cached
-        one is a short circuit (``incremental.html_short_circuits``);
-        otherwise its bytes are hashed, and the generation moves iff the
+        A dirty render whose display is the very tree the kept document
+        was built from (a page memo hit returns the stored display
+        object) reuses that document as it is.  Otherwise the document
+        is built once: frozen subtrees the render memo replayed serve
+        their cached fragments, so the build costs what changed, not the
+        page.  Both that reuse and a built document equal to the kept
+        one are short circuits (``incremental.html_short_circuits``);
+        otherwise the bytes are hashed, and the generation moves iff the
         hash does.
         """
         with self.session(token) as entry:
@@ -745,15 +757,21 @@ class SessionHost:
                 return entry.html, entry.generation, True
             if not entry.dirty and if_generation == entry.generation:
                 return None, entry.generation, False
-            html = render_html(entry.session.display, title=entry.title)
-            if html == entry.html:
+            display = entry.session.display
+            if display is entry.display and entry.html is not None:
                 html = entry.html
                 self._count("incremental.html_short_circuits")
             else:
-                fingerprint = self._keep_document(entry, html)
-                if fingerprint != entry.fingerprint:
-                    entry.generation += 1
-                    entry.fingerprint = fingerprint
+                html = render_html(display, title=entry.title)
+                if html == entry.html:
+                    html = entry.html
+                    entry.display = display
+                    self._count("incremental.html_short_circuits")
+                else:
+                    fingerprint = self._keep_document(entry, display, html)
+                    if fingerprint != entry.fingerprint:
+                        entry.generation += 1
+                        entry.fingerprint = fingerprint
             entry.dirty = False
             if if_generation == entry.generation:
                 return None, entry.generation, False
@@ -761,9 +779,11 @@ class SessionHost:
             return html, entry.generation, True
 
     @staticmethod
-    def _keep_document(entry, html):
-        """Cache ``html`` as the entry's document; returns its hash."""
+    def _keep_document(entry, display, html):
+        """Cache ``html``, built from ``display``, as the entry's
+        document; returns its hash."""
         data = html.encode("utf-8")
+        entry.display = display
         entry.html = html
         entry.html_bytes = len(data)
         return content_hash(data)

@@ -98,6 +98,11 @@ class Store:
         """
         self._read_log = []
 
+    @property
+    def logging_reads(self):
+        """Is a read log active (:meth:`begin_read_log`)?"""
+        return self._read_log is not None
+
     def end_read_log(self):
         """Stop recording; returns the read names in first-read order,
         deduplicated."""

@@ -20,8 +20,10 @@ code update is immediately reflected in the view.
 
 The Section 5 optimizations are implementation caching layered *outside*
 the semantics.  Every non-faithful RENDER consults a render memo
-(:mod:`repro.eval.memo`), which splices the frozen subtrees of unchanged
-calls into the new display; the observable display is identical to the
+(:mod:`repro.eval.memo`): first for the page's own call, whose hit is
+the whole stored display, then, while the page runs, for each render
+function call, splicing the frozen subtrees of unchanged calls into the
+new display; the observable display is identical to the
 ``faithful=True`` oracle, which does not memoize — tests assert that.
 The paper's other §5 sketch, sharing unchanged box objects with the
 previous display (:mod:`repro.boxes.diff`), belongs to its one consumer,
@@ -456,13 +458,27 @@ class System:
         started = clock()
         virtual_before = self.services.clock.now
         memo = self.render_memo
+        fuel = self.budget.fuel
+        # The page's render is itself a memoized call, except where each
+        # evaluator run must happen: under chaos (its faults are drawn
+        # per run) and while provenance logs the store's reads.
+        pages = (
+            memo is not None and self.chaos is None
+            and not state.store.logging_reads
+        )
         if memo is not None:
-            memo_before = (memo.hits, memo.misses, memo.replayed_boxes)
-        with tracer.span("render", page=page_name) as span:
-            tree = self._evaluator.run_render(
-                state.store, ast.App(page.render, arg),
-                fuel=self.budget.fuel,
+            memo_before = (
+                memo.hits, memo.misses, memo.replayed_boxes, memo.page_hits
             )
+        with tracer.span("render", page=page_name) as span:
+            tree = None
+            if pages:
+                tree = memo.probe_page(page_name, arg, state.store, fuel)
+            executed = tree is None
+            if executed:
+                tree = self._evaluator.run_render(
+                    state.store, ast.App(page.render, arg), fuel=fuel,
+                )
             self._check_deadline("RENDER", virtual_before)
             boxes, height = tree.shape()
             limit = max_display_depth()
@@ -472,6 +488,11 @@ class System:
                 raise FuelExhausted(
                     "the display nests {} boxes deep; at most {} can be "
                     "shown".format(height, limit)
+                )
+            if pages and executed:
+                memo.store_page(
+                    page_name, arg, state.store, tree,
+                    self._evaluator.last_steps,
                 )
             tracer.add("boxes_rendered", boxes)
             state.display = tree
@@ -489,11 +510,12 @@ class System:
         gauge — the fraction of memoizable calls the edit did *not*
         invalidate.
         """
-        hits_before, misses_before, replayed_before = before
+        hits_before, misses_before, replayed_before, pages_before = before
         stats = {
             "hits": memo.hits - hits_before,
             "misses": memo.misses - misses_before,
             "replayed_boxes": memo.replayed_boxes - replayed_before,
+            "page_hits": memo.page_hits - pages_before,
         }
         self.last_render_stats = stats
         self.tracer.add("incremental.replayed_boxes", stats["replayed_boxes"])
@@ -503,9 +525,12 @@ class System:
             self.tracer.add("incremental.update_hits", stats["hits"])
             self.tracer.add("incremental.update_misses", stats["misses"])
             total = stats["hits"] + stats["misses"]
+            # A page hit reused the whole render.
             self.tracer.gauge(
                 "incremental.update_reuse_ratio",
-                stats["hits"] / total if total else 0.0,
+                stats["hits"] / total if total else float(
+                    stats["page_hits"] > 0
+                ),
             )
 
     # -- the code-update rule ---------------------------------------------------------

@@ -105,7 +105,8 @@ class TestCacheBehaviour:
         stats = memo.system.render_memo.stats()
         assert stats == {
             "hits": 0, "misses": 4, "misses_cold": 4,
-            "misses_read_values": 0, "entries": 4,
+            "misses_read_values": 0, "page_hits": 0, "page_misses": 1,
+            "entries": 5,
         }
         memo.tap_text("clicks 0")  # clicks changes; cells don't read it
         assert memo.system.render_memo.stats()["hits"] == 4
@@ -124,7 +125,7 @@ class TestCacheBehaviour:
     def test_argument_participates_in_key(self):
         _plain, memo = runtimes()
         entries = memo.system.render_memo.stats()["entries"]
-        assert entries == 4  # one per distinct argument
+        assert entries == 4 + 1  # one per distinct argument, and the page
 
     def test_update_resets_cache(self):
         _plain, memo = runtimes()

@@ -31,7 +31,14 @@ def gallery_runtime(**kwargs):
 
 
 def rerender(runtime):
+    """Re-render with the page's own entry dropped, so the page executes
+    again and every call in it probes the store."""
     system = runtime.system
+    digests = memo_facts(system.code).digests
+    view = system.render_memo.memo_store
+    getattr(view, "store", view).discard(
+        CallKey(digests[("page", "start")], ast.UNIT_VALUE)
+    )
     system._invalidate()
     system.run_to_stable()
     return system.last_render_stats
@@ -69,10 +76,11 @@ class TestSessionsWithDifferentState:
                 assert stats["hits"] == ROWS
                 assert html(runtime) == html(oracles[selected])
         # Every row and cell call holds a variant per value of
-        # ``selected``: -1 (initial), 5 and 9.
+        # ``selected``: -1 (initial), 5 and 9; the page's call, dropped
+        # before each re-render, holds the last one.
         calls = ROWS + ROWS * COLS
-        assert store.stats()["calls"] == calls
-        assert store.stats()["entries"] == 3 * calls
+        assert store.stats()["calls"] == calls + 1
+        assert store.stats()["entries"] == 3 * calls + 1
 
     def test_miss_causes_are_counted(self):
         tracer = Tracer()
@@ -220,7 +228,10 @@ class TestPerCallBound:
             MAX_VARIANTS_PER_CALL
         )
         assert store.variants(CallKey(digests["steady"], ONE)) == 1
-        assert store.evictions == taps + 1 - MAX_VARIANTS_PER_CALL
+        # The page reads ``ticks`` too, so its own call is bounded alike.
+        page_call = CallKey(digests[("page", "start")], ast.UNIT_VALUE)
+        assert store.variants(page_call) == MAX_VARIANTS_PER_CALL
+        assert store.evictions == 2 * (taps + 1 - MAX_VARIANTS_PER_CALL)
         # ``steady`` kept hitting through every tap.
         stats = runtime.system.render_memo.stats()
         assert stats["hits"] == taps

@@ -106,9 +106,11 @@ class TestWriteVersioning:
         )
         assert result.applied
         # EP-GLOBAL reads the *assigned* value; the declared init is
-        # dead, so every outermost (row) entry's version-stamped read
-        # slot still validates on the integer fast path.
-        assert result.memo_hits == ROWS
+        # dead, so the outermost entry — the page's own, whose read set
+        # holds ``selected`` through its rows' cells — still validates.
+        stats = session.runtime.system.last_update_render_stats
+        assert stats["page_hits"] == 1
+        assert result.memo_hits == 0
         assert result.memo_misses == 0
 
     def test_unassigned_global_init_edit_invalidates_readers(self):
@@ -140,9 +142,14 @@ class TestWriteVersioning:
     def test_noop_rerender_is_all_hits(self):
         session = gallery_session()
         system = session.runtime.system
+        before = system.display
         system._invalidate()
         system.run_to_stable()
-        assert system.last_render_stats["hits"] == ROWS
+        # The page's own call hits: the stored display comes back as the
+        # very same object, and no function is probed.
+        assert system.last_render_stats["page_hits"] == 1
+        assert system.display is before
+        assert system.last_render_stats["hits"] == 0
         assert system.last_render_stats["misses"] == 0
 
 
@@ -197,9 +204,9 @@ class TestNativeIdentity:
 
     def test_same_natives_entries_survive(self):
         system = self.make_system(lambda services, s: s.upper())
-        assert len(system._memo_store) == 2
+        assert len(system._memo_store) == 3  # both helpers and the page
         system.update(system.code)
-        assert len(system._memo_store) == 2
+        assert len(system._memo_store) == 3
 
     def test_rebound_native_drops_exactly_the_calling_entries(self):
         system = self.make_system(lambda services, s: s.upper())
@@ -230,7 +237,7 @@ class TestMetricCatalog:
         assert metrics["incremental.update_hits"] == ROWS
         assert metrics["incremental.update_misses"] == 0
         assert metrics["incremental.update_reuse_ratio"] == 1.0
-        assert metrics["incremental.entries_carried"] == total
+        assert metrics["incremental.entries_carried"] == total + 1  # page
         assert metrics["incremental.replayed_boxes"] == ROWS + ROWS * COLS
         assert metrics["memo_hits"] == ROWS
         # Cold render misses + nothing else.

@@ -373,6 +373,68 @@ class TestServeCLI:
                 process.wait()
 
 
+    @pytest.mark.parametrize("cluster", (False, True), ids=("host", "cluster"))
+    def test_port_file_appears_whole(
+        self, counter_file, tmp_path, monkeypatch, cluster
+    ):
+        # A poller must never read the port file empty: it appears by a
+        # rename of a file that already holds the whole port.
+        import os
+
+        import repro.cli as cli
+        import repro.cluster as cluster_package
+        import repro.serve.app as app
+
+        port_file = str(tmp_path / "port")
+        renames = []
+        real_replace = os.replace
+
+        def replace(source, target):
+            with open(source) as handle:
+                renames.append((target, handle.read(), os.path.exists(target)))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(app, "make_server", lambda *a, **k: _Server())
+        monkeypatch.setattr(app, "shutdown_gracefully", lambda *a, **k: True)
+        monkeypatch.setattr(cli, "_install_graceful_signals", lambda s: None)
+        argv = ["serve", counter_file, "--port", "0", "--port-file", port_file]
+        if cluster:
+            monkeypatch.setattr(cluster_package, "ClusterSupervisor",
+                                _Supervisor)
+            monkeypatch.setattr(cluster_package, "ClusterRouter",
+                                lambda supervisor: None)
+            argv += ["--cluster-workers", "2"]
+        status, _output = run_cli(*argv)
+        assert status == 0
+        assert renames == [(port_file, "4321", False)]
+        with open(port_file) as handle:
+            assert handle.read() == "4321"
+        assert not os.path.exists(port_file + ".tmp")
+
+
+class _Server:
+    """A bound server that stops as soon as it is asked to serve."""
+
+    server_address = ("127.0.0.1", 4321)
+
+    def serve_forever(self):
+        raise KeyboardInterrupt
+
+
+class _Supervisor:
+    journal_root = "journals"
+
+    def __init__(self, **kwargs):
+        pass
+
+    def start(self):
+        return self
+
+    def stop(self):
+        pass
+
+
 class _Captured(Exception):
     pass
 
