@@ -357,13 +357,16 @@ class RenderMemo:
         self.hits += 1
         self.replayed_boxes += entry.boxes
         self.tracer.add("memo_hits")
-        # Shared stores (repro.cluster): a hit on an entry another
-        # session produced is a cross-session warm hit — the view counts
-        # it into the host's metrics.
-        note = getattr(memo_store, "note_shared_hit", None)
+        self._note_shared(entry)
+        return entry
+
+    def _note_shared(self, entry):
+        """Shared stores (repro.cluster): a hit on an entry another
+        session produced is a cross-session warm hit — the view counts
+        it into the host's metrics."""
+        note = getattr(self.memo_store, "note_shared_hit", None)
         if note is not None:
             note(entry)
-        return entry
 
     def _binds(self, entry):
         """Does this session bind ``entry``'s natives to the producer's
@@ -436,9 +439,7 @@ class RenderMemo:
             return None
         self.page_hits += 1
         self.tracer.add("memo_page_hits")
-        note = getattr(self.memo_store, "note_shared_hit", None)
-        if note is not None:
-            note(entry)
+        self._note_shared(entry)
         return entry.items
 
     def store_page(self, name, arg_value, store, root, steps):
